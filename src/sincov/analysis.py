@@ -24,10 +24,8 @@ import numpy as np
 
 from .kernel import (
     COMPLEX,
-    MAT2,
     FiniteKernel,
     KernelError,
-    UnknownLabelError,
     _cmul,
     _mul2x2,
     _norm2x2,
@@ -125,6 +123,17 @@ class BoundCheck:
             "holds": self.holds,
             "witness": list(self.witness),
         }
+
+
+def _label_checks(family: str, labels, lhs, rhs, tolv: float, witnesses) -> list[BoundCheck]:
+    """The checks family[label] for all labels from whole-array sides; a
+    scalar side is shared by every label."""
+    lhs, rhs = np.broadcast_arrays(np.asarray(lhs, np.float64), np.asarray(rhs, np.float64))
+    holds = (lhs <= rhs + tolv).tolist()
+    return [
+        BoundCheck(f"{family}[{lab}]", *sides)
+        for lab, *sides in zip(labels, lhs.tolist(), rhs.tolist(), holds, witnesses)
+    ]
 
 
 def _complex_parts(kernel: FiniteKernel) -> tuple[np.ndarray, np.ndarray]:
@@ -278,9 +287,27 @@ def factorize(kernel: FiniteKernel, x0: str) -> Factorization:
     )
 
 
-def _slice_norms(kernel: FiniteKernel, i0: int) -> tuple[np.ndarray, np.ndarray]:
-    absT = np.abs(kernel.table)
-    return absT[:, i0], absT[i0, :]
+def _gauge_sides(kernel: FiniteKernel, i0: int, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """|g(x) f(x) - 1| and its defect-driven bound (see gauge_error_bound)
+    for every x at once, with f = F(., x0) and g = F(x0, .)."""
+    if c < 0:
+        raise KernelError("c must be nonnegative")
+    f, g = kernel.table[:, i0], kernel.table[i0, :]
+    absf, absg = np.abs(f), np.abs(g)
+    if float(absf.min()) == 0.0 or float(absg.min()) == 0.0:
+        raise KernelError("gauge_error_bound: slice maps must not vanish")
+    fmax, gmax = float(absf.max()), float(absg.max())
+    rhs = (c * c + 2.0 * c) / (fmax * gmax) + (c * absf) / fmax + (c * absg) / gmax
+    re, im = _cmul(f.real, f.imag, g.real, g.imag)
+    dev = (re - 1.0).astype(np.complex128)
+    dev.imag = im
+    return np.abs(dev), rhs
+
+
+def _gauge_checks(kernel: FiniteKernel, i0: int, c: float, tolv: float) -> list[BoundCheck]:
+    labels = kernel.labels
+    lhs, rhs = _gauge_sides(kernel, i0, c)
+    return _label_checks("gauge", labels, lhs, rhs, tolv, [(lab,) for lab in labels])
 
 
 def gauge_error_bound(kernel: FiniteKernel, x0: str, x: str, c: float) -> float:
@@ -289,20 +316,15 @@ def gauge_error_bound(kernel: FiniteKernel, x0: str, x: str, c: float) -> float:
         (c^2 + 2c) / (|f(a)| |g(b)|) + c |f(x)|/|f(a)| + c |g(x)|/|g(b)|
 
     with f = F(., x0) and g = F(x0, .).  Requires nonvanishing slices.
+
+    Every term is non-increasing in |f(a)| and in |g(b)|, and IEEE multiply,
+    divide and add round monotonically, so the minimum over the (a, b) grid
+    is the expression at a = argmax |f|, b = argmax |g|, bit for bit.  The
+    bound for all x is therefore one O(n) vector.
     """
     _require_complex(kernel, "gauge_error_bound")
-    if c < 0:
-        raise KernelError("c must be nonnegative")
     i0, ix = kernel.index(x0), kernel.index(x)
-    absf, absg = _slice_norms(kernel, i0)
-    if float(absf.min()) == 0.0 or float(absg.min()) == 0.0:
-        raise KernelError("gauge_error_bound: slice maps must not vanish")
-    grid = (
-        (c * c + 2.0 * c) / np.outer(absf, absg)
-        + (c * absf[ix]) / absf[:, None]
-        + (c * absg[ix]) / absg[None, :]
-    )
-    return float(grid.min())
+    return float(_gauge_sides(kernel, i0, c)[1][ix])
 
 
 def gauge_bound(
@@ -317,16 +339,7 @@ def gauge_bound(
     _require_complex(kernel, "gauge_bound")
     i0, ix = kernel.index(x0), kernel.index(x)
     c = _resolve_defect(kernel, defect)
-    rhs = gauge_error_bound(kernel, x0, x, c)
-    lhs = float(np.abs(kernel.table[ix, i0] * kernel.table[i0, ix] - 1.0))
-    tolv = check_tolerance(kernel, tol)
-    return BoundCheck(
-        name=f"gauge[{x}]",
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs <= rhs + tolv,
-        witness=(x,),
-    )
+    return _gauge_checks(kernel, i0, c, check_tolerance(kernel, tol))[ix]
 
 
 def _pair_argmax(grid: np.ndarray, labels: tuple[str, ...]) -> tuple[float, tuple[str, str]]:
@@ -403,37 +416,16 @@ def unit_diag_bound(
     tolv = check_tolerance(kernel, tol)
     T = kernel.table
     labels = kernel.labels
-    n = kernel.n
-    idx = np.arange(n)
     absT = np.abs(T)
-    dev = np.abs(T[idx, idx] - 1.0)
-
-    checks = []
-    row_max, row_arg = absT.max(axis=1), absT.argmax(axis=1)
-    for i, lab in enumerate(labels):
-        lhs = float(row_max[i] * dev[i])
-        checks.append(
-            BoundCheck(
-                name=f"unit_diag_row[{lab}]",
-                lhs=lhs,
-                rhs=c,
-                holds=lhs <= c + tolv,
-                witness=(lab, labels[int(row_arg[i])]),
-            )
-        )
-    col_max, col_arg = absT.max(axis=0), absT.argmax(axis=0)
-    for i, lab in enumerate(labels):
-        lhs = float(col_max[i] * dev[i])
-        checks.append(
-            BoundCheck(
-                name=f"unit_diag_col[{lab}]",
-                lhs=lhs,
-                rhs=c,
-                holds=lhs <= c + tolv,
-                witness=(labels[int(col_arg[i])], lab),
-            )
-        )
-    return checks
+    dev = np.abs(np.diagonal(T) - 1.0)
+    row_arg, col_arg = absT.argmax(axis=1).tolist(), absT.argmax(axis=0).tolist()
+    return _label_checks(
+        "unit_diag_row", labels, absT.max(axis=1) * dev, c, tolv,
+        [(lab, labels[j]) for lab, j in zip(labels, row_arg)],
+    ) + _label_checks(
+        "unit_diag_col", labels, absT.max(axis=0) * dev, c, tolv,
+        [(labels[i], lab) for lab, i in zip(labels, col_arg)],
+    )
 
 
 def growth_witness(
@@ -451,19 +443,11 @@ def growth_witness(
     tolv = check_tolerance(kernel, tol)
     absT = np.abs(kernel.table)
     col0 = absT[:, j0]
-    lhs = float(col0.max()) - c
     a_star = kernel.labels[int(col0.argmax())]
-    rhs_all = absT[:, j0] * absT.max(axis=0)
-    return [
-        BoundCheck(
-            name=f"growth[{lab}]",
-            lhs=lhs,
-            rhs=float(rhs_all[i]),
-            holds=lhs <= float(rhs_all[i]) + tolv,
-            witness=(a_star,),
-        )
-        for i, lab in enumerate(kernel.labels)
-    ]
+    return _label_checks(
+        "growth", kernel.labels, float(col0.max()) - c, col0 * absT.max(axis=0), tolv,
+        [(a_star,)] * kernel.n,
+    )
 
 
 def gm_factorize(kernel: FiniteKernel) -> Factorization:
@@ -503,23 +487,26 @@ def bound_suite(
     defect: float | None = None,
     tol: float | None = None,
 ) -> list[BoundCheck]:
-    """All applicable bound checks for one kernel, sharing one defect pass.
+    """All applicable bound checks for one kernel, sharing one defect pass
+    and one tolerance.
 
     mat2 kernels get the kind-agnostic checks (slice residual, diagonal
     report); complex kernels additionally get the unit-diagonal, growth,
     and gauge checks.  Gauge checks need nonvanishing slices at ref and are
-    skipped otherwise.
+    skipped otherwise.  Each family is built from whole arrays, and the
+    gauge bounds come in closed form at argmax |f| and argmax |g| (see
+    gauge_error_bound), so after the defect scan the suite costs O(n^2).
     """
     c = _resolve_defect(kernel, defect)
-    checks = [slice_residual(kernel, ref, defect=c, tol=tol)]
-    checks.extend(diagonal_report(kernel, defect=c, tol=tol))
+    tolv = check_tolerance(kernel, tol)
+    checks = [slice_residual(kernel, ref, defect=c, tol=tolv)]
+    checks.extend(diagonal_report(kernel, defect=c, tol=tolv))
     if kernel.value_kind == COMPLEX:
-        checks.extend(unit_diag_bound(kernel, defect=c, tol=tol))
-        checks.extend(growth_witness(kernel, ref, defect=c, tol=tol))
-        absf, absg = _slice_norms(kernel, kernel.index(ref))
-        if float(absf.min()) > 0.0 and float(absg.min()) > 0.0:
-            for lab in kernel.labels:
-                checks.append(gauge_bound(kernel, ref, lab, defect=c, tol=tol))
+        checks.extend(unit_diag_bound(kernel, defect=c, tol=tolv))
+        checks.extend(growth_witness(kernel, ref, defect=c, tol=tolv))
+        i0 = kernel.index(ref)
+        if kernel.table[:, i0].all() and kernel.table[i0, :].all():
+            checks.extend(_gauge_checks(kernel, i0, c, tolv))
     return checks
 
 

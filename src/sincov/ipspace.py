@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import sincov_defect
-from .kernel import COMPLEX, FiniteKernel
+from .kernel import COMPLEX, FiniteKernel, KernelFormatError, _real_at, _reject_constant
 
 REAL_FIELD = "real"
 COMPLEX_FIELD = "complex"
@@ -103,28 +103,19 @@ def _check_compatible(*vectors: IPVector) -> None:
             raise VectorError(f"dimension mismatch: {first.dim} vs {v.dim}")
 
 
-def _richard_arrays(A, B, X) -> tuple[np.ndarray, np.ndarray]:
+def _richard_buzano_arrays(A, B, X) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(lhs, rhs) rows of Richard's and of Buzano's inequality, sharing the
+    norms and inner products."""
     sx = _rowwise_inner(X, X).real
     na = np.sqrt(_rowwise_inner(A, A).real)
     nb = np.sqrt(_rowwise_inner(B, B).real)
     iax = _rowwise_inner(A, X)
     ixb = _rowwise_inner(X, B)
     iab = _rowwise_inner(A, B)
-    lhs = np.abs(iax * ixb - iab * (0.5 * sx))
-    rhs = na * nb * (0.5 * sx)
-    return lhs, rhs
-
-
-def _buzano_arrays(A, B, X) -> tuple[np.ndarray, np.ndarray]:
-    sx = _rowwise_inner(X, X).real
-    na = np.sqrt(_rowwise_inner(A, A).real)
-    nb = np.sqrt(_rowwise_inner(B, B).real)
-    iax = _rowwise_inner(A, X)
-    ixb = _rowwise_inner(X, B)
-    iab = _rowwise_inner(A, B)
-    lhs = np.abs(iax * ixb)
-    rhs = 0.5 * (na * nb + np.abs(iab)) * sx
-    return lhs, rhs
+    chain = iax * ixb
+    richard = np.abs(chain - iab * (0.5 * sx)), na * nb * (0.5 * sx)
+    buzano = np.abs(chain), 0.5 * (na * nb + np.abs(iab)) * sx
+    return richard, buzano
 
 
 def _cs_arrays(U, V) -> tuple[np.ndarray, np.ndarray]:
@@ -137,14 +128,14 @@ def _cs_arrays(U, V) -> tuple[np.ndarray, np.ndarray]:
 def richard_margin(a: IPVector, b: IPVector, x: IPVector) -> InequalityMargin:
     """|<a|x><x|b> - <a|b>|x|^2/2|  vs  |a||b||x|^2/2."""
     _check_compatible(a, b, x)
-    lhs, rhs = _richard_arrays(a.as_array()[None], b.as_array()[None], x.as_array()[None])
+    (lhs, rhs), _ = _richard_buzano_arrays(*(v.as_array()[None] for v in (a, b, x)))
     return InequalityMargin("richard", float(lhs[0]), float(rhs[0]), float(rhs[0] - lhs[0]))
 
 
 def buzano_margin(a: IPVector, b: IPVector, x: IPVector) -> InequalityMargin:
     """|<a|x><x|b>|  vs  [|a||b| + |<a|b>|] |x|^2 / 2."""
     _check_compatible(a, b, x)
-    lhs, rhs = _buzano_arrays(a.as_array()[None], b.as_array()[None], x.as_array()[None])
+    _, (lhs, rhs) = _richard_buzano_arrays(*(v.as_array()[None] for v in (a, b, x)))
     return InequalityMargin("buzano", float(lhs[0]), float(rhs[0]), float(rhs[0] - lhs[0]))
 
 
@@ -266,11 +257,12 @@ def margin_sweep(
     B = _draw(rng, count, dim, field)
     X = _draw(rng, count, dim, field)
 
+    richard, buzano = _richard_buzano_arrays(A, B, X)
     min_margins: dict[str, float] = {}
     margins_hold = True
     for name, (lhs, rhs) in (
-        ("richard", _richard_arrays(A, B, X)),
-        ("buzano", _buzano_arrays(A, B, X)),
+        ("richard", richard),
+        ("buzano", buzano),
         ("cauchy_schwarz", _cs_arrays(A, B)),
     ):
         margin = rhs - lhs
@@ -317,32 +309,42 @@ def save_vectors(vectors: list[IPVector]) -> bytes:
 
 
 def load_vectors(data: bytes) -> list[IPVector]:
+    """Parse and validate a vector document; inverse of save_vectors.  Reals
+    follow the kernel file rule: finite JSON numbers, never strings or null."""
     try:
         text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else str(data)
-        doc = json.loads(text, parse_constant=lambda tok: (_ for _ in ()).throw(
-            VectorError(f"non-finite literal {tok!r} not allowed")
-        ))
+        doc = json.loads(text, parse_constant=_reject_constant)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise VectorError(f"invalid vector document: {exc}") from None
+    except KernelFormatError as exc:
+        raise VectorError(str(exc)) from None
     if not isinstance(doc, dict) or set(doc.keys()) != {"field", "dim", "vectors"}:
         raise VectorError('vector document must have exactly keys "field", "dim", "vectors"')
     field = doc["field"]
     if field not in FIELDS:
         raise VectorError(f"unknown field {field!r}")
     dim = doc["dim"]
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise VectorError(f"dim: must be an integer >= 1, got {dim!r}")
     rows = doc["vectors"]
     if not isinstance(rows, list) or not rows:
         raise VectorError("vectors must be a non-empty array")
     out = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != dim:
-            raise VectorError(f"vectors[{i}]: expected {dim} coordinates")
-        if field == REAL_FIELD:
-            coords = tuple(float(c) for c in row)
-        else:
-            for c in row:
-                if not isinstance(c, list) or len(c) != 2:
-                    raise VectorError(f"vectors[{i}]: complex coordinates must be [re, im]")
-            coords = tuple(complex(c[0], c[1]) for c in row)
-        out.append(IPVector(field, coords))
+    try:
+        for i, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != dim:
+                raise VectorError(f"vectors[{i}]: expected {dim} coordinates")
+            if field == REAL_FIELD:
+                coords = tuple(_real_at(c, f"vectors[{i}][{j}]") for j, c in enumerate(row))
+            else:
+                for c in row:
+                    if not isinstance(c, list) or len(c) != 2:
+                        raise VectorError(f"vectors[{i}]: complex coordinates must be [re, im]")
+                coords = tuple(
+                    complex(*(_real_at(c[k], f"vectors[{i}][{j}][{k}]") for k in (0, 1)))
+                    for j, c in enumerate(row)
+                )
+            out.append(IPVector(field, coords))
+    except KernelFormatError as exc:
+        raise VectorError(str(exc)) from None
     return out

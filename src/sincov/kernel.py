@@ -490,7 +490,10 @@ def save_kernel(kernel: FiniteKernel) -> bytes:
 def _real_at(obj, location: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise KernelFormatError("expected a real number", location)
-    val = float(obj)
+    try:
+        val = float(obj)
+    except OverflowError:  # an integer literal beyond float range
+        val = math.inf
     if not _finite(val):
         raise KernelFormatError("non-finite value", location)
     return val
@@ -516,15 +519,16 @@ def _parse_mat2_entry(obj, location: str) -> list:
     ]
 
 
+def _reject_constant(token):
+    raise KernelFormatError(f"non-finite literal {token!r} not allowed")
+
+
 def load_kernel(data: bytes) -> FiniteKernel:
     """Parse and validate a kernel document; inverse of save_kernel."""
     try:
         text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else str(data)
     except UnicodeDecodeError as exc:
         raise KernelFormatError(f"not valid UTF-8: {exc}") from None
-
-    def _reject_constant(token):
-        raise KernelFormatError(f"non-finite literal {token!r} not allowed")
 
     try:
         doc = json.loads(text, parse_constant=_reject_constant)

@@ -23,6 +23,20 @@ def brute_force_defect(kernel: FiniteKernel) -> float:
     return worst
 
 
+def brute_force_gauge_bound(kernel: FiniteKernel, x0: str, x: str, c: float) -> tuple[float, float]:
+    """Independent gauge oracle, label by label: |g(x) f(x) - 1| from the numpy
+    scalar product, and its bound as the minimum over the whole (a, b) grid."""
+    T = kernel.table
+    i0, ix = kernel.index(x0), kernel.index(x)
+    absf, absg = np.abs(T[:, i0]), np.abs(T[i0, :])
+    grid = (
+        (c * c + 2.0 * c) / np.outer(absf, absg)
+        + (c * absf[ix]) / absf[:, None]
+        + (c * absg[ix]) / absg[None, :]
+    )
+    return float(np.abs(T[ix, i0] * T[i0, ix] - 1.0)), float(grid.min())
+
+
 def random_complex_kernel(rng: np.random.Generator, n: int) -> FiniteKernel:
     table = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return FiniteKernel(tuple(f"p{i}" for i in range(n)), "complex", table)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_complex_kernel
+from conftest import brute_force_gauge_bound, random_complex_kernel
 from sincov import (
     GeneratorSpec,
     bound_suite,
@@ -10,10 +10,13 @@ from sincov import (
     gauge_error_bound,
     generate,
     growth_witness,
+    normalized_gram,
+    sample_vectors,
     sincov_defect,
     slice_residual,
     unit_diag_bound,
 )
+from sincov.analysis import check_tolerance
 from sincov.kernel import FiniteKernel, KernelError, UnknownLabelError
 
 
@@ -200,6 +203,50 @@ def test_bound_suite_all_pairs_gauge_small_kernel():
     for x0 in kernel.labels:
         for x in kernel.labels:
             assert gauge_bound(kernel, x0, x, defect=c).holds
+
+
+def _gauge_oracle_kernels():
+    rng = np.random.default_rng(102)
+    for k in range(-50, 51, 5):
+        kernel = random_complex_kernel(rng, int(rng.integers(2, 25)))
+        yield FiniteKernel(kernel.labels, "complex", kernel.table * 10.0 ** k)
+    for trial in range(10):
+        size = int(rng.integers(3, 25))
+        yield generate(GeneratorSpec(
+            "perturbed_ratio",
+            samples=tuple(float(i) for i in range(1, size + 1)),
+            f_values=tuple(float(v) for v in rng.uniform(0.5, 2.0, size)),
+            eps=float(rng.uniform(0.0, 0.5)),
+            seed=trial,
+        ))
+    yield normalized_gram(sample_vectors(8, 40, "complex", seed=3))
+
+
+def test_gauge_checks_match_brute_force_oracle_bit_for_bit():
+    for kernel in _gauge_oracle_kernels():
+        c = sincov_defect(kernel).defect
+        tolv = check_tolerance(kernel)
+        ref = kernel.labels[-1]
+        gauges = [chk for chk in bound_suite(kernel, ref) if chk.name.startswith("gauge[")]
+        assert [chk.witness for chk in gauges] == [(lab,) for lab in kernel.labels]
+        for lab, check in zip(kernel.labels, gauges):
+            lhs, rhs = brute_force_gauge_bound(kernel, ref, lab, c)
+            assert (check.lhs, check.rhs) == (lhs, rhs), (kernel.n, lab)
+            assert check.holds == (lhs <= rhs + tolv)
+            assert gauge_error_bound(kernel, ref, lab, c) == rhs
+
+
+def test_bound_suite_equals_the_per_family_checks():
+    for kernel in _gauge_oracle_kernels():
+        ref = kernel.labels[0]
+        expected = [
+            slice_residual(kernel, ref),
+            *diagonal_report(kernel),
+            *unit_diag_bound(kernel),
+            *growth_witness(kernel, ref),
+            *(gauge_bound(kernel, ref, lab) for lab in kernel.labels),
+        ]
+        assert bound_suite(kernel, ref) == expected
 
 
 def test_bound_suite_on_mat2_runs_kind_applicable_subset():

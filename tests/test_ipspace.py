@@ -227,3 +227,27 @@ def test_vector_file_validation():
         load_vectors(b'{"field": "complex", "dim": 1, "vectors": [[1.0]]}')
     with pytest.raises(VectorError, match="invalid"):
         load_vectors(b"{broken")
+
+
+@pytest.mark.parametrize(
+    "doc, location",
+    [
+        (b'{"field": "real", "dim": 2, "vectors": [["1.5", true]]}', r"vectors\[0\]\[0\]"),
+        (b'{"field": "real", "dim": 2, "vectors": [[1.0, true]]}', r"vectors\[0\]\[1\]"),
+        (b'{"field": "real", "dim": 2.0, "vectors": [[1.0, 2.0]]}', "dim"),
+        (b'{"field": "real", "dim": 0, "vectors": [[]]}', "dim"),
+        (b'{"field": "real", "dim": 2, "vectors": [[{"a": 1}, 2]]}', r"vectors\[0\]\[0\]"),
+        (b'{"field": "real", "dim": 1, "vectors": [[1e999]]}', r"vectors\[0\]\[0\]"),
+        (b'{"field": "real", "dim": 1, "vectors": [[1' + b"0" * 400 + b']]}',
+         r"vectors\[0\]\[0\]"),
+        (b'{"field": "real", "dim": 1, "vectors": [[NaN]]}', "NaN"),
+        (b'{"field": "complex", "dim": 1, "vectors": [[["1", "2"]]]}', r"vectors\[0\]\[0\]\[0\]"),
+        (b'{"field": "complex", "dim": 1, "vectors": [[[true, null]]]}',
+         r"vectors\[0\]\[0\]\[0\]"),
+        (b'{"field": "complex", "dim": 1, "vectors": [[[1.0, null]]]}',
+         r"vectors\[0\]\[0\]\[1\]"),
+    ],
+)
+def test_vector_file_rejects_non_numbers(doc, location):
+    with pytest.raises(VectorError, match=location):
+        load_vectors(doc)

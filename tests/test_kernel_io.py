@@ -94,6 +94,9 @@ def test_load_rejects_non_finite():
     # 1e999 parses to infinity and must be caught by range validation
     with pytest.raises(KernelFormatError, match=r"entries\[0\]\[0\]\.re"):
         load_kernel(_doc().replace(b'"re": 1.0', b'"re": 1e999', 1))
+    # so must an integer literal too large for a float
+    with pytest.raises(KernelFormatError, match=r"entries\[0\]\[0\]\.re"):
+        load_kernel(_doc().replace(b'"re": 1.0', b'"re": 1' + b"0" * 400, 1))
 
 
 def test_load_rejects_unknown_value_kind():
