@@ -22,14 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import (
-    COMPLEX,
-    FiniteKernel,
-    KernelError,
-    _cmul,
-    _mul2x2,
-    _norm2x2,
-)
+from .kernel import _ALGEBRA, COMPLEX, FiniteKernel, KernelError, _cmul, _components
 
 TOL_SCALE = 1e-12
 _PARALLEL_MIN_SIZE = 64
@@ -136,59 +129,49 @@ def _label_checks(family: str, labels, lhs, rhs, tolv: float, witnesses) -> list
     ]
 
 
-def _complex_parts(kernel: FiniteKernel) -> tuple[np.ndarray, np.ndarray]:
-    return (
-        np.ascontiguousarray(kernel.table.real),
-        np.ascontiguousarray(kernel.table.imag),
-    )
-
-
-def _slab_complex(Fr: np.ndarray, Fi: np.ndarray, x: int) -> np.ndarray:
-    """Defect terms |F(a, x) F(x, b) - F(a, b)| for all (a, b) at fixed x."""
-    pre, pim = _cmul(
-        Fr[:, x][:, None], Fi[:, x][:, None], Fr[x, :][None, :], Fi[x, :][None, :]
-    )
-    return np.hypot(pre - Fr, pim - Fi)
-
-
-def _slab_mat2(T: np.ndarray, x: int) -> np.ndarray:
-    col = tuple(T[:, x, i, j][:, None] for i in (0, 1) for j in (0, 1))
-    row = tuple(T[x, :, i, j][None, :] for i in (0, 1) for j in (0, 1))
-    p00, p01, p10, p11 = _mul2x2(*col, *row)
-    return _norm2x2(
-        p00 - T[..., 0, 0], p01 - T[..., 0, 1], p10 - T[..., 1, 0], p11 - T[..., 1, 1]
-    )
-
-
 def _slab_function(kernel: FiniteKernel):
-    if kernel.value_kind == COMPLEX:
-        Fr, Fi = _complex_parts(kernel)
-        return lambda x: _slab_complex(Fr, Fi, x)
-    T = kernel.table
-    return lambda x: _slab_mat2(T, x)
+    """slab(x): the defect terms |F(a, x) F(x, b) - F(a, b)| for all (a, b)."""
+    mul, norm = _ALGEBRA[kernel.value_kind]
+    parts = _components(kernel.table, kernel.value_kind)
+
+    def slab(x: int) -> np.ndarray:
+        products = mul(*(p[:, x][:, None] for p in parts), *(p[x, :][None, :] for p in parts))
+        return norm(*(q - p for q, p in zip(products, parts)))
+
+    return slab
 
 
 def sincov_defect(kernel: FiniteKernel) -> DefectReport:
     """Exhaustive maximum of the composition defect over all triples.
 
     Deterministic: ties in the argmax go to the lexicographically smallest
-    (a, x, b) index triple regardless of chunking or thread count.
+    (a, x, b) index triple regardless of chunking or thread count.  A term
+    that is not finite (the kernel's products or norms leave float64 range)
+    raises KernelError naming its triple.
     """
     n = kernel.n
+    labels = kernel.labels
     slab = _slab_function(kernel)
     sums = np.empty(n, dtype=np.float64)
 
     def scan(xs: range) -> tuple[float, int]:
         best_val, best_flat = -1.0, n * n * n
-        for x in xs:
-            D = slab(x)
-            flat_ab = int(D.argmax())
-            val = float(D.flat[flat_ab])
-            a, b = divmod(flat_ab, n)
-            flat = (a * n + x) * n + b
-            if val > best_val or (val == best_val and flat < best_flat):
-                best_val, best_flat = val, flat
-            sums[x] = D.sum()
+        # numpy's error state is per thread, so each worker sets its own
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x in xs:
+                D = slab(x)
+                flat_ab = int(D.argmax())  # the first NaN, if there is one
+                val = float(D.flat[flat_ab])
+                a, b = divmod(flat_ab, n)
+                if not math.isfinite(val):
+                    raise KernelError(
+                        f"non-finite defect term at ({labels[a]}, {labels[x]}, {labels[b]}): "
+                        "products or norms of the kernel values overflow float64"
+                    )
+                flat = (a * n + x) * n + b
+                if val > best_val or (val == best_val and flat < best_flat):
+                    best_val, best_flat = val, flat
+                sums[x] = D.sum()
         return best_val, best_flat
 
     workers = min(thread_limit(), n)
@@ -211,7 +194,7 @@ def sincov_defect(kernel: FiniteKernel) -> DefectReport:
     mean = min(total / (n * n * n), best_val)
     return DefectReport(
         defect=best_val,
-        argmax_triple=(kernel.labels[a], kernel.labels[x], kernel.labels[b]),
+        argmax_triple=(labels[a], labels[x], labels[b]),
         triple_count=n * n * n,
         mean_defect=mean,
     )
@@ -270,19 +253,30 @@ def factorize(kernel: FiniteKernel, x0: str) -> Factorization:
     """
     _require_complex(kernel, "factorize")
     i0 = kernel.index(x0)
-    f_vec = kernel.table[:, i0]
-    g_vec = kernel.table[i0, :]
-    gauge_error = float(np.abs(f_vec * g_vec - 1.0).max())
+    return _factorization(kernel, x0, kernel.table[:, i0], kernel.table[i0, :])
+
+
+def _gauge_deviation(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """|f(x) g(x) - 1| for every x, with the product in component form."""
+    re, im = _cmul(f.real, f.imag, g.real, g.imag)
+    dev = (re - 1.0).astype(np.complex128)
+    dev.imag = im
+    return np.abs(dev)
+
+
+def _factorization(kernel: FiniteKernel, reference, f_vec, g_vec) -> Factorization:
+    """The Factorization of point maps f, g: gauge_error is the largest gauge
+    check lhs, and residual is infinite when f vanishes somewhere."""
     if float(np.abs(f_vec).min()) == 0.0:
         residual = math.inf
     else:
         residual = float(np.abs(kernel.table - f_vec[:, None] / f_vec[None, :]).max())
     labels = kernel.labels
     return Factorization(
-        reference=x0,
+        reference=reference,
         f={lab: complex(v) for lab, v in zip(labels, f_vec)},
         g={lab: complex(v) for lab, v in zip(labels, g_vec)},
-        gauge_error=gauge_error,
+        gauge_error=float(_gauge_deviation(f_vec, g_vec).max()),
         residual=residual,
     )
 
@@ -298,10 +292,7 @@ def _gauge_sides(kernel: FiniteKernel, i0: int, c: float) -> tuple[np.ndarray, n
         raise KernelError("gauge_error_bound: slice maps must not vanish")
     fmax, gmax = float(absf.max()), float(absg.max())
     rhs = (c * c + 2.0 * c) / (fmax * gmax) + (c * absf) / fmax + (c * absg) / gmax
-    re, im = _cmul(f.real, f.imag, g.real, g.imag)
-    dev = (re - 1.0).astype(np.complex128)
-    dev.imag = im
-    return np.abs(dev), rhs
+    return _gauge_deviation(f, g), rhs
 
 
 def _gauge_checks(kernel: FiniteKernel, i0: int, c: float, tolv: float) -> list[BoundCheck]:
@@ -367,27 +358,13 @@ def diagonal_report(
     c = _resolve_defect(kernel, defect)
     tolv = check_tolerance(kernel, tol)
     labels = kernel.labels
-    n = kernel.n
-    idx = np.arange(n)
-
-    if kernel.value_kind == COMPLEX:
-        T = kernel.table
-        dre, dim = T.real[idx, idx], T.imag[idx, idx]
-        spread = np.hypot(dre[:, None] - dre[None, :], dim[:, None] - dim[None, :])
-        pre, pim = _cmul(T.real, T.imag, T.real.T, T.imag.T)
-        product = np.hypot(pre - dre[:, None], pim - dim[:, None])
-        diag_norm = np.hypot(dre, dim)
-    else:
-        T = kernel.table
-        d = tuple(T[idx, idx, i, j] for i in (0, 1) for j in (0, 1))
-        spread = _norm2x2(*(dij[:, None] - dij[None, :] for dij in d))
-        a_parts = tuple(T[:, :, i, j] for i in (0, 1) for j in (0, 1))
-        b_parts = tuple(T[:, :, i, j].T for i in (0, 1) for j in (0, 1))
-        p00, p01, p10, p11 = _mul2x2(*a_parts, *b_parts)
-        product = _norm2x2(
-            p00 - d[0][:, None], p01 - d[1][:, None], p10 - d[2][:, None], p11 - d[3][:, None]
-        )
-        diag_norm = _norm2x2(*d)
+    mul, norm = _ALGEBRA[kernel.value_kind]
+    parts = _components(kernel.table, kernel.value_kind)
+    diag = tuple(np.diagonal(p) for p in parts)
+    spread = norm(*(d[:, None] - d[None, :] for d in diag))
+    products = mul(*parts, *(p.T for p in parts))
+    product = norm(*(q - d[:, None] for q, d in zip(products, diag)))
+    diag_norm = norm(*diag)
 
     spread_lhs, spread_wit = _pair_argmax(spread, labels)
     prod_lhs, prod_wit = _pair_argmax(product, labels)
@@ -467,17 +444,7 @@ def gm_factorize(kernel: FiniteKernel) -> Factorization:
             f"({kernel.labels[i]!r}, {kernel.labels[j]!r})"
         )
     f_vec = np.exp(np.log(T.real).mean(axis=1))
-    g_vec = 1.0 / f_vec
-    gauge_error = float(np.abs(f_vec * g_vec - 1.0).max())
-    residual = float(np.abs(T - (f_vec[:, None] / f_vec[None, :])).max())
-    labels = kernel.labels
-    return Factorization(
-        reference=None,
-        f={lab: complex(v) for lab, v in zip(labels, f_vec)},
-        g={lab: complex(v) for lab, v in zip(labels, g_vec)},
-        gauge_error=gauge_error,
-        residual=residual,
-    )
+    return _factorization(kernel, None, f_vec, 1.0 / f_vec)
 
 
 def bound_suite(

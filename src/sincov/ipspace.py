@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import sincov_defect
-from .kernel import COMPLEX, FiniteKernel, KernelFormatError, _real_at, _reject_constant
+from .kernel import COMPLEX, FiniteKernel, KernelFormatError, _reals, _reject_constant
 
 REAL_FIELD = "real"
 COMPLEX_FIELD = "complex"
@@ -310,7 +310,7 @@ def save_vectors(vectors: list[IPVector]) -> bytes:
 
 def load_vectors(data: bytes) -> list[IPVector]:
     """Parse and validate a vector document; inverse of save_vectors.  Reals
-    follow the kernel file rule: finite JSON numbers, never strings or null."""
+    are read like kernel file reals, by the same reader."""
     try:
         text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else str(data)
         doc = json.loads(text, parse_constant=_reject_constant)
@@ -329,22 +329,21 @@ def load_vectors(data: bytes) -> list[IPVector]:
     rows = doc["vectors"]
     if not isinstance(rows, list) or not rows:
         raise VectorError("vectors must be a non-empty array")
-    out = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != dim:
+            raise VectorError(f"vectors[{i}]: expected {dim} coordinates")
+        if field == COMPLEX_FIELD and any(not isinstance(c, list) or len(c) != 2 for c in row):
+            raise VectorError(f"vectors[{i}]: complex coordinates must be [re, im]")
     try:
-        for i, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != dim:
-                raise VectorError(f"vectors[{i}]: expected {dim} coordinates")
-            if field == REAL_FIELD:
-                coords = tuple(_real_at(c, f"vectors[{i}][{j}]") for j, c in enumerate(row))
-            else:
-                for c in row:
-                    if not isinstance(c, list) or len(c) != 2:
-                        raise VectorError(f"vectors[{i}]: complex coordinates must be [re, im]")
-                coords = tuple(
-                    complex(*(_real_at(c[k], f"vectors[{i}][{j}][{k}]") for k in (0, 1)))
-                    for j, c in enumerate(row)
-                )
-            out.append(IPVector(field, coords))
+        if field == REAL_FIELD:
+            coords = _reals(
+                [c for row in rows for c in row], lambda k: "vectors[%d][%d]" % divmod(k, dim)
+            )
+        else:
+            coords = _reals(
+                [v for row in rows for c in row for v in c],
+                lambda k: "vectors[%d][%d][%d]" % (*divmod(k // 2, dim), k % 2),
+            ).view(np.complex128)
     except KernelFormatError as exc:
         raise VectorError(str(exc)) from None
-    return out
+    return [IPVector(field, tuple(row)) for row in coords.reshape(len(rows), dim).tolist()]

@@ -50,11 +50,13 @@ class UnknownLabelError(KernelError):
     """Label not present in the kernel."""
 
 
-# Arithmetic used by both the scalar value type and the vectorized analysis
-# scans is decomposed into single ufunc applications (multiply, add,
-# subtract, hypot, sqrt).  Each of those is correctly rounded per element,
-# so scalar and array evaluations agree bit for bit; fused expressions such
-# as numpy's SIMD complex multiply do not.
+# Each value kind is declared once, in _ALGEBRA: its product and its norm in
+# component form, over the real component arrays that _components returns.
+# The scalar value type, the defect scan and the diagonal checks all compute
+# through that table, so they share one arithmetic.  Each function is built
+# from single ufunc applications (multiply, add, subtract, hypot, sqrt), which
+# are correctly rounded per element, so scalar and array evaluations agree bit
+# for bit; fused expressions such as numpy's SIMD complex multiply do not.
 
 def _cmul(ar, ai, br, bi):
     """Complex product in component form."""
@@ -81,6 +83,21 @@ def _norm2x2(m00, m01, m10, m11):
     det = m00 * m11 - m01 * m10
     disc = np.sqrt(np.maximum(q * q - 4.0 * (det * det), 0.0))
     return np.sqrt(0.5 * (q + disc))
+
+
+# kind -> (product, norm), both taking components in storage order
+_ALGEBRA = {COMPLEX: (_cmul, np.hypot), MAT2: (_mul2x2, _norm2x2)}
+
+
+def _components(table, kind: str) -> tuple[np.ndarray, ...]:
+    """Contiguous real component arrays of one value or a table of values, in
+    storage order: (re, im) for complex, (m00, m01, m10, m11) for mat2."""
+    t = np.asarray(table)
+    if kind == COMPLEX:
+        parts = (t.real, t.imag)
+    else:
+        parts = (t[..., 0, 0], t[..., 0, 1], t[..., 1, 0], t[..., 1, 1])
+    return tuple(np.asarray(p, order="C") for p in parts)
 
 
 def _finite(x: float) -> bool:
@@ -146,60 +163,36 @@ class AlgebraValue:
         if self.kind != other.kind:
             raise KindMismatchError(f"mixed value kinds {self.kind!r} and {other.kind!r}")
 
-    def __add__(self, other: "AlgebraValue") -> "AlgebraValue":
-        self._same_kind(other)
+    def _parts(self) -> tuple[float, ...]:
+        return tuple(p.item() for p in _components(self.payload, self.kind))
+
+    def _of_parts(self, parts) -> "AlgebraValue":
+        """The value of this kind with the given components."""
         if self.kind == COMPLEX:
-            return AlgebraValue(COMPLEX, self.payload + other.payload)
-        a, b = self.payload, other.payload
-        return AlgebraValue(
-            MAT2,
-            (
-                (a[0][0] + b[0][0], a[0][1] + b[0][1]),
-                (a[1][0] + b[1][0], a[1][1] + b[1][1]),
-            ),
-        )
+            return AlgebraValue(COMPLEX, complex(*parts))
+        return AlgebraValue(MAT2, (parts[:2], parts[2:]))
+
+    def _pairs(self, other: "AlgebraValue"):
+        self._same_kind(other)
+        return zip(self._parts(), other._parts())
+
+    def __add__(self, other: "AlgebraValue") -> "AlgebraValue":
+        return self._of_parts([a + b for a, b in self._pairs(other)])
 
     def __sub__(self, other: "AlgebraValue") -> "AlgebraValue":
-        self._same_kind(other)
-        if self.kind == COMPLEX:
-            return AlgebraValue(COMPLEX, self.payload - other.payload)
-        a, b = self.payload, other.payload
-        return AlgebraValue(
-            MAT2,
-            (
-                (a[0][0] - b[0][0], a[0][1] - b[0][1]),
-                (a[1][0] - b[1][0], a[1][1] - b[1][1]),
-            ),
-        )
+        return self._of_parts([a - b for a, b in self._pairs(other)])
 
     def __mul__(self, other: "AlgebraValue") -> "AlgebraValue":
         self._same_kind(other)
-        if self.kind == COMPLEX:
-            a, b = self.payload, other.payload
-            re, im = _cmul(a.real, a.imag, b.real, b.imag)
-            return AlgebraValue(COMPLEX, complex(re, im))
-        a, b = self.payload, other.payload
-        c00, c01, c10, c11 = _mul2x2(
-            a[0][0], a[0][1], a[1][0], a[1][1], b[0][0], b[0][1], b[1][0], b[1][1]
-        )
-        return AlgebraValue(MAT2, ((c00, c01), (c10, c11)))
+        return self._of_parts(_ALGEBRA[self.kind][0](*self._parts(), *other._parts()))
 
     def scale(self, factor: float) -> "AlgebraValue":
         lam = float(factor)
-        if self.kind == COMPLEX:
-            return AlgebraValue(COMPLEX, complex(lam * self.payload.real, lam * self.payload.imag))
-        a = self.payload
-        return AlgebraValue(
-            MAT2,
-            ((lam * a[0][0], lam * a[0][1]), (lam * a[1][0], lam * a[1][1])),
-        )
+        return self._of_parts([lam * a for a in self._parts()])
 
     @property
     def norm(self) -> float:
-        if self.kind == COMPLEX:
-            return float(np.hypot(self.payload.real, self.payload.imag))
-        a = self.payload
-        return float(_norm2x2(a[0][0], a[0][1], a[1][0], a[1][1]))
+        return float(_ALGEBRA[self.kind][1](*self._parts()))
 
 
 def defect_term(ax: AlgebraValue, xb: AlgebraValue, ab: AlgebraValue) -> float:
@@ -265,19 +258,14 @@ class FiniteKernel:
             raise UnknownLabelError(f"unknown label {label!r}") from None
 
     def entry(self, i: int, j: int) -> AlgebraValue:
-        if self.value_kind == COMPLEX:
-            return AlgebraValue(COMPLEX, complex(self.table[i, j]))
-        return AlgebraValue(MAT2, self.table[i, j])
+        return AlgebraValue(self.value_kind, self.table[i, j])
 
     def value_at(self, a: str, b: str) -> AlgebraValue:
         return self.entry(self.index(a), self.index(b))
 
     def entry_norms(self) -> np.ndarray:
         """Norms of all entries as an (n, n) float array."""
-        if self.value_kind == COMPLEX:
-            return np.hypot(self.table.real, self.table.imag)
-        t = self.table
-        return _norm2x2(t[..., 0, 0], t[..., 0, 1], t[..., 1, 0], t[..., 1, 1])
+        return _ALGEBRA[self.value_kind][1](*_components(self.table, self.value_kind))
 
     def max_norm(self) -> float:
         return float(self.entry_norms().max())
@@ -462,7 +450,9 @@ def generate(spec: GeneratorSpec) -> FiniteKernel:
 #   { "labels": [...], "value_kind": "complex" | "mat2",
 #     "entries": [[ {"re": r, "im": i} | {"m": [[a, b], [c, d]]}, ...], ...] }
 # entries is row-major, entries[i][j] = F(labels[i], labels[j]).  Unknown
-# top-level keys are rejected; all reals must be finite.
+# top-level keys are rejected.  Every real is a finite JSON integer or decimal
+# literal; the loaders check all entry shapes first, then read every real in
+# storage order with one call to _reals.
 
 _TOP_KEYS = ("labels", "value_kind", "entries")
 
@@ -471,56 +461,50 @@ def save_kernel(kernel: FiniteKernel) -> bytes:
     """Serialize deterministically: fixed key order, shortest round-trip reals."""
     if kernel.value_kind == COMPLEX:
         entries = [
-            [{"re": float(z.real), "im": float(z.imag)} for z in row]
-            for row in kernel.table
+            [{"re": re, "im": im} for re, im in zip(row_re, row_im)]
+            for row_re, row_im in zip(kernel.table.real.tolist(), kernel.table.imag.tolist())
         ]
     else:
-        entries = [
-            [
-                {"m": [[float(m[0, 0]), float(m[0, 1])], [float(m[1, 0]), float(m[1, 1])]]}
-                for m in row
-            ]
-            for row in kernel.table
-        ]
+        entries = [[{"m": m} for m in row] for row in kernel.table.tolist()]
     doc = {"labels": list(kernel.labels), "value_kind": kernel.value_kind, "entries": entries}
     text = json.dumps(doc, ensure_ascii=False, allow_nan=False, separators=(",", ":"))
     return (text + "\n").encode("utf-8")
 
 
-def _real_at(obj, location: str) -> float:
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise KernelFormatError("expected a real number", location)
+def _real_error(value) -> str | None:
+    """Why one parsed JSON value is not a finite real, or None if it is one."""
+    if type(value) not in (int, float):  # bool, str and None are not
+        return "expected a real number"
     try:
-        val = float(obj)
+        return None if math.isfinite(value) else "non-finite value"
     except OverflowError:  # an integer literal beyond float range
-        val = math.inf
-    if not _finite(val):
-        raise KernelFormatError("non-finite value", location)
-    return val
+        return "non-finite value"
 
 
-def _parse_complex_entry(obj, location: str) -> complex:
-    if not isinstance(obj, dict) or set(obj.keys()) != {"re", "im"}:
-        raise KernelFormatError('complex entry must be {"re": ..., "im": ...}', location)
-    return complex(_real_at(obj["re"], location + ".re"), _real_at(obj["im"], location + ".im"))
-
-
-def _parse_mat2_entry(obj, location: str) -> list:
-    if not isinstance(obj, dict) or set(obj.keys()) != {"m"}:
-        raise KernelFormatError('mat2 entry must be {"m": [[a, b], [c, d]]}', location)
-    m = obj["m"]
-    if not isinstance(m, list) or len(m) != 2 or any(
-        not isinstance(row, list) or len(row) != 2 for row in m
-    ):
-        raise KernelFormatError("m must be a 2x2 array", location + ".m")
-    return [
-        [_real_at(m[i][j], f"{location}.m[{i}][{j}]") for j in (0, 1)]
-        for i in (0, 1)
-    ]
+def _reals(values: list, where) -> np.ndarray:
+    """One float64 array of parsed JSON reals, each an int or float literal
+    that is finite as a float.  The first value k that is not is reported as
+    a KernelFormatError located by where(k)."""
+    try:
+        if set(map(type, values)) <= {int, float}:
+            reals = np.array(values, dtype=np.float64)
+            if np.isfinite(reals).all():
+                return reals
+    except OverflowError:  # an integer literal beyond float range
+        pass
+    k, error = next((k, e) for k, v in enumerate(values) if (e := _real_error(v)))
+    raise KernelFormatError(error, where(k))
 
 
 def _reject_constant(token):
     raise KernelFormatError(f"non-finite literal {token!r} not allowed")
+
+
+# kind -> (entry keys, entry form, location suffix of each real in storage order)
+_ENTRY_FORMS = {
+    COMPLEX: ({"re", "im"}, '{"re": ..., "im": ...}', (".re", ".im")),
+    MAT2: ({"m"}, '{"m": [[a, b], [c, d]]}', (".m[0][0]", ".m[0][1]", ".m[1][0]", ".m[1][1]")),
+}
 
 
 def load_kernel(data: bytes) -> FiniteKernel:
@@ -562,15 +546,25 @@ def load_kernel(data: bytes) -> FiniteKernel:
         if not isinstance(row, list) or len(row) != n:
             raise KernelFormatError(f"row must have {n} entries", f"entries[{i}]")
 
+    keys, form, slots = _ENTRY_FORMS[kind]
+    for i, row in enumerate(entries):
+        for j, obj in enumerate(row):
+            if not (isinstance(obj, dict) and obj.keys() == keys):
+                raise KernelFormatError(f"{kind} entry must be {form}", f"entries[{i}][{j}]")
+            m = obj.get("m")
+            if kind == MAT2 and not (
+                isinstance(m, list) and len(m) == 2
+                and all(isinstance(r, list) and len(r) == 2 for r in m)
+            ):
+                raise KernelFormatError("m must be a 2x2 array", f"entries[{i}][{j}].m")
     if kind == COMPLEX:
-        table = np.empty((n, n), dtype=np.complex128)
-        for i, row in enumerate(entries):
-            for j, obj in enumerate(row):
-                table[i, j] = _parse_complex_entry(obj, f"entries[{i}][{j}]")
+        flat = [v for row in entries for e in row for v in (e["re"], e["im"])]
     else:
-        table = np.empty((n, n, 2, 2), dtype=np.float64)
-        for i, row in enumerate(entries):
-            for j, obj in enumerate(row):
-                table[i, j] = _parse_mat2_entry(obj, f"entries[{i}][{j}]")
-
-    return FiniteKernel(tuple(labels), kind, table)
+        flat = [v for row in entries for e in row for r in e["m"] for v in r]
+    width = len(slots)
+    reals = _reals(
+        flat, lambda k: "entries[%d][%d]%s" % (*divmod(k // width, n), slots[k % width])
+    )
+    if kind == COMPLEX:
+        return FiniteKernel(tuple(labels), kind, reals.view(np.complex128).reshape(n, n))
+    return FiniteKernel(tuple(labels), kind, reals.reshape(n, n, 2, 2))

@@ -45,3 +45,18 @@ def random_complex_kernel(rng: np.random.Generator, n: int) -> FiniteKernel:
 def random_mat2_kernel(rng: np.random.Generator, n: int) -> FiniteKernel:
     table = rng.standard_normal((n, n, 2, 2))
     return FiniteKernel(tuple(f"p{i}" for i in range(n)), "mat2", table)
+
+
+def _identity_mat2_with_large_first_diagonal() -> FiniteKernel:
+    table = np.zeros((3, 3, 2, 2))
+    table[..., 0, 0] = table[..., 1, 1] = 1.0
+    table[0, 0] *= 1e60  # the term at (a, a, a) is about 1e120; its squared norms overflow
+    return FiniteKernel(("a", "b", "c"), "mat2", table)
+
+
+# Kernels with finite entries whose defect terms are not finite in float64.
+OVERFLOWING_KERNELS = {
+    "complex-1e200": FiniteKernel(("a", "b"), "complex", np.full((2, 2), 1e200 + 0j)),
+    "mat2-1e200": FiniteKernel(("a", "b"), "mat2", np.full((2, 2, 2, 2), 1e200)),
+    "mat2-1e60-diagonal": _identity_mat2_with_large_first_diagonal(),
+}

@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import OVERFLOWING_KERNELS
 from sincov import FiniteKernel, save_kernel, sincov_defect
 from sincov.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(argv, capsys):
@@ -178,3 +185,21 @@ def test_check_tol_override(tmp_path, capsys):
     code, out, _ = run(["check", "-i", kpath, "--tol", "100.0"], capsys)
     assert code == 0
     assert json.loads(out)["all_hold"] is True
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_KERNELS))
+@pytest.mark.parametrize("command", ["defect", "check"])
+def test_non_finite_defect_terms_exit_three(tmp_path, command, name):
+    kpath = tmp_path / "k.json"
+    kpath.write_bytes(save_kernel(OVERFLOWING_KERNELS[name]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sincov", command, "-i", str(kpath)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=60,
+    )
+    assert proc.returncode == 3
+    assert "sincov: error: input: non-finite defect term at (a, a, a)" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import brute_force_defect, random_complex_kernel, random_mat2_kernel
-from sincov import GeneratorSpec, defect_term, generate, is_exact, sincov_defect
+from conftest import (
+    OVERFLOWING_KERNELS,
+    brute_force_defect,
+    random_complex_kernel,
+    random_mat2_kernel,
+)
+from sincov import FiniteKernel, GeneratorSpec, defect_term, generate, is_exact, sincov_defect
 from sincov.analysis import thread_limit
 from sincov.kernel import KernelError
 
@@ -112,3 +117,21 @@ def test_thread_limit_env(monkeypatch):
     monkeypatch.setenv("SINCOV_THREADS", "-1")
     with pytest.raises(KernelError):
         thread_limit()
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_KERNELS))
+def test_non_finite_defect_terms_raise_kernel_error(name):
+    with pytest.raises(KernelError, match=r"non-finite defect term at \(a, a, a\)"):
+        sincov_defect(OVERFLOWING_KERNELS[name])
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_non_finite_defect_terms_raise_in_every_worker(monkeypatch, threads):
+    # 64 points take the threaded path.  Only products F(a, p40) F(p40, p40)
+    # of two large entries overflow, so the first non-finite slab is x = 40.
+    table = np.ones((64, 64, 2, 2))
+    table[:, 40] = 1e70
+    kernel = FiniteKernel(tuple(f"p{i}" for i in range(64)), "mat2", table)
+    monkeypatch.setenv("SINCOV_THREADS", threads)
+    with pytest.raises(KernelError, match=r"non-finite defect term at \(p0, p40, p40\)"):
+        sincov_defect(kernel)

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_complex_kernel
 from sincov import (
     FiniteKernel,
     GeneratorSpec,
     UnknownLabelError,
+    bound_suite,
     factorize,
     generate,
     gm_factorize,
@@ -135,3 +137,17 @@ def test_gm_rejects_non_positive_and_non_real():
         gm_factorize(complex_kernel)
     with pytest.raises(KernelError, match="complex"):
         gm_factorize(generate(GeneratorSpec("mat2_ratio", c0=1.0, samples=(1.0, 2.0))))
+
+
+def test_gauge_error_is_the_largest_gauge_check_lhs():
+    rng = np.random.default_rng(3)
+    compared = 0
+    for _ in range(200):
+        kernel = random_complex_kernel(rng, 30)
+        ref = kernel.labels[0]
+        checks = bound_suite(kernel, ref, defect=0.0)
+        gauge = [c.lhs for c in checks if c.name.startswith("gauge[")]
+        if gauge:
+            assert factorize(kernel, ref).gauge_error == max(gauge)
+            compared += 1
+    assert compared == 200

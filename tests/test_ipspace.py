@@ -246,6 +246,16 @@ def test_vector_file_validation():
          r"vectors\[0\]\[0\]\[0\]"),
         (b'{"field": "complex", "dim": 1, "vectors": [[[1.0, null]]]}',
          r"vectors\[0\]\[0\]\[1\]"),
+        (b'{"field": "real", "dim": 3, "vectors": [[1, 2, 3], [4, 5, 6], [7, null, 9]]}',
+         r"vectors\[2\]\[1\]: expected"),
+        (b'{"field": "real", "dim": 3, "vectors": [[1, 2, 3], [4, 5, 1e999], [7, 8, 9]]}',
+         r"vectors\[1\]\[2\]: non-finite"),
+        (b'{"field": "complex", "dim": 3, "vectors": [[[1, 0], [2, 0], [3, 0]], '
+         b'[[4, 0], [5, 0], [6, 0]], [[7, 0], [8, "0"], [9, 0]]]}',
+         r"vectors\[2\]\[1\]\[1\]: expected"),
+        (b'{"field": "complex", "dim": 3, "vectors": [[[1, 0], [2, 0], [3, 0]], '
+         b'[[4, 0], [5, 0], [1e999, 0]], [[7, 0], [8, 0], [9, 0]]]}',
+         r"vectors\[1\]\[2\]\[0\]: non-finite"),
     ],
 )
 def test_vector_file_rejects_non_numbers(doc, location):

@@ -99,6 +99,54 @@ def test_load_rejects_non_finite():
         load_kernel(_doc().replace(b'"re": 1.0', b'"re": 1' + b"0" * 400, 1))
 
 
+def _three_point_doc(kind: str, i: int, j: int, slot, token: bytes) -> bytes:
+    """A 3-point kernel document with the literal token at entries[i][j] slot."""
+    if kind == "complex":
+        kernel = generate(GeneratorSpec("ratio", samples=(1.0, 2.0, 3.0)))
+    else:
+        kernel = generate(GeneratorSpec("mat2_ratio", c0=2.0, samples=(1.0, 2.0, 3.0)))
+    doc = json.loads(save_kernel(kernel))
+    if kind == "complex":
+        doc["entries"][i][j][slot] = "BAD"
+    else:
+        doc["entries"][i][j]["m"][slot[0]][slot[1]] = "BAD"
+    return json.dumps(doc).encode().replace(b'"BAD"', token)
+
+
+@pytest.mark.parametrize(
+    "kind, i, j, slot, location",
+    [
+        ("complex", 2, 1, "im", r"entries\[2\]\[1\]\.im: "),
+        ("complex", 1, 2, "re", r"entries\[1\]\[2\]\.re: "),
+        ("mat2", 2, 1, (1, 0), r"entries\[2\]\[1\]\.m\[1\]\[0\]: "),
+        ("mat2", 1, 2, (0, 1), r"entries\[1\]\[2\]\.m\[0\]\[1\]: "),
+        ("mat2", 2, 2, (1, 1), r"entries\[2\]\[2\]\.m\[1\]\[1\]: "),
+    ],
+)
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        (b'"1.5"', "expected a real number"),
+        (b"true", "expected a real number"),
+        (b"null", "expected a real number"),
+        (b"[1.0]", "expected a real number"),
+        (b"1e999", "non-finite value"),
+        (b"-1" + b"0" * 400, "non-finite value"),
+    ],
+)
+def test_load_names_the_bad_real(kind, i, j, slot, location, token, message):
+    with pytest.raises(KernelFormatError, match=location + message):
+        load_kernel(_three_point_doc(kind, i, j, slot, token))
+
+
+def test_load_reads_integer_literals_as_reals():
+    data = _three_point_doc("mat2", 1, 2, (1, 0), b"-7")
+    assert load_kernel(data).table[1, 2, 1, 0] == -7.0
+    big = 2 ** 80 + 1  # rounds to 2 ** 80, as float() does
+    data = _three_point_doc("complex", 2, 1, "im", str(big).encode())
+    assert load_kernel(data).table[2, 1].imag == float(big)
+
+
 def test_load_rejects_unknown_value_kind():
     with pytest.raises(KernelFormatError, match="value_kind"):
         load_kernel(_doc(value_kind="quaternion"))
