@@ -10,6 +10,12 @@ SINCOV_THREADS environment variable caps how many slabs are processed
 concurrently (0 = auto).  The max reduction breaks ties toward the
 lexicographically smallest (a, x, b) index triple, so results are identical
 for any chunking or thread count.
+
+Range policy: every norm of a kernel value is the kind's declared norm, and
+array work runs with numpy's overflow warnings off.  A quantity that leaves
+float64 range (a defect term, the tolerance, a check side, a gauge error) is
+detected by value and raises KernelError; only a factorization's residual
+reports infinity, where f vanishes somewhere.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,6 +32,10 @@ from .kernel import _ALGEBRA, COMPLEX, FiniteKernel, KernelError, _cmul, _compon
 
 TOL_SCALE = 1e-12
 _PARALLEL_MIN_SIZE = 64
+# Decorator for array work on kernel values: out-of-range results are caught by
+# value, not by warnings.  numpy's error state is per thread, so it also wraps
+# each scan worker; as a decorator it is reentrant and thread-safe (numpy >= 2).
+_in_range = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 def thread_limit() -> int:
@@ -37,19 +47,20 @@ def thread_limit() -> int:
         raise KernelError(f"SINCOV_THREADS must be a nonnegative integer, got {raw!r}") from None
     if value < 0:
         raise KernelError("SINCOV_THREADS must be a nonnegative integer")
-    if value == 0:
-        return os.cpu_count() or 1
-    return value
+    cores = os.cpu_count() or 1
+    return cores if value == 0 else min(value, cores)
 
 
+@_in_range
 def check_tolerance(kernel: FiniteKernel, tol: float | None = None) -> float:
     """Absolute tolerance for "must hold" checks: 1e-12 scaled by the largest
-    entry norm (floored at one so near-zero kernels keep a usable slack)."""
-    if tol is not None:
-        if tol < 0:
-            raise KernelError("tolerance must be nonnegative")
-        return float(tol)
-    return TOL_SCALE * max(1.0, kernel.max_norm())
+    entry norm (floored at one so near-zero kernels keep a usable slack).  A
+    given or computed tolerance must be finite and nonnegative."""
+    if tol is None:
+        tol = TOL_SCALE * float(np.maximum(kernel.max_norm(), 1.0))  # unlike max(), keeps NaN
+    if not (math.isfinite(tol) and tol >= 0):
+        raise KernelError(f"tolerance must be finite and nonnegative, got {float(tol)!r}")
+    return float(tol)
 
 
 @dataclass(frozen=True)
@@ -62,12 +73,7 @@ class DefectReport:
     mean_defect: float
 
     def to_dict(self) -> dict:
-        return {
-            "defect": self.defect,
-            "argmax_triple": list(self.argmax_triple),
-            "triple_count": self.triple_count,
-            "mean_defect": self.mean_defect,
-        }
+        return {**asdict(self), "argmax_triple": list(self.argmax_triple)}
 
 
 @dataclass(frozen=True)
@@ -109,24 +115,28 @@ class BoundCheck:
     witness: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "holds": self.holds,
-            "witness": list(self.witness),
-        }
+        return {**vars(self), "witness": list(self.witness)}  # asdict's deep copy is 10x slower
+
+
+@_in_range
+def _checks(names, lhs, rhs, tolv: float, witnesses) -> list[BoundCheck]:
+    """The checks names[k]: lhs[k] <= rhs[k] + tolv, from whole-array sides; a
+    scalar side is shared by every check.  A side that is not finite means the
+    kernel values left float64 range and raises KernelError."""
+    lhs, rhs = (np.broadcast_to(np.asarray(s, np.float64), (len(names),)) for s in (lhs, rhs))
+    bad = ~(np.isfinite(lhs) & np.isfinite(rhs))
+    if bad.any():
+        k = int(bad.argmax())
+        raise KernelError(
+            f"non-finite side in check {names[k]}: lhs {float(lhs[k])}, rhs {float(rhs[k])}; "
+            "a value leaves float64 range"
+        )
+    holds = (lhs <= rhs + tolv).tolist()
+    return [BoundCheck(*c) for c in zip(names, lhs.tolist(), rhs.tolist(), holds, witnesses)]
 
 
 def _label_checks(family: str, labels, lhs, rhs, tolv: float, witnesses) -> list[BoundCheck]:
-    """The checks family[label] for all labels from whole-array sides; a
-    scalar side is shared by every label."""
-    lhs, rhs = np.broadcast_arrays(np.asarray(lhs, np.float64), np.asarray(rhs, np.float64))
-    holds = (lhs <= rhs + tolv).tolist()
-    return [
-        BoundCheck(f"{family}[{lab}]", *sides)
-        for lab, *sides in zip(labels, lhs.tolist(), rhs.tolist(), holds, witnesses)
-    ]
+    return _checks([f"{family}[{lab}]" for lab in labels], lhs, rhs, tolv, witnesses)
 
 
 def _slab_function(kernel: FiniteKernel):
@@ -152,46 +162,39 @@ def sincov_defect(kernel: FiniteKernel) -> DefectReport:
     n = kernel.n
     labels = kernel.labels
     slab = _slab_function(kernel)
-    sums = np.empty(n, dtype=np.float64)
+    args = np.empty(n, dtype=np.intp)  # per slab x: flat (a, b) index of its maximum,
+    vals = np.empty(n, dtype=np.float64)  # that maximum (the first NaN, if any),
+    sums = np.empty(n, dtype=np.float64)  # and the sum of its terms
 
-    def scan(xs: range) -> tuple[float, int]:
-        best_val, best_flat = -1.0, n * n * n
-        # numpy's error state is per thread, so each worker sets its own
-        with np.errstate(over="ignore", invalid="ignore"):
-            for x in xs:
-                D = slab(x)
-                flat_ab = int(D.argmax())  # the first NaN, if there is one
-                val = float(D.flat[flat_ab])
-                a, b = divmod(flat_ab, n)
-                if not math.isfinite(val):
-                    raise KernelError(
-                        f"non-finite defect term at ({labels[a]}, {labels[x]}, {labels[b]}): "
-                        "products or norms of the kernel values overflow float64"
-                    )
-                flat = (a * n + x) * n + b
-                if val > best_val or (val == best_val and flat < best_flat):
-                    best_val, best_flat = val, flat
-                sums[x] = D.sum()
-        return best_val, best_flat
+    @_in_range
+    def scan(xs: range) -> None:
+        for x in xs:
+            D = slab(x)
+            args[x] = D.argmax()
+            vals[x] = D.flat[args[x]]
+            sums[x] = D.sum()
 
     workers = min(thread_limit(), n)
     if workers > 1 and n >= _PARALLEL_MIN_SIZE:
         step = -(-n // workers)
-        chunks = [range(lo, min(lo + step, n)) for lo in range(0, n, step)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(scan, chunks))
+            list(pool.map(scan, [range(lo, min(lo + step, n)) for lo in range(0, n, step)]))
     else:
-        results = [scan(range(n))]
+        scan(range(n))
 
-    best_val, best_flat = -1.0, n * n * n
-    for val, flat in results:
-        if val > best_val or (val == best_val and flat < best_flat):
-            best_val, best_flat = val, flat
-
-    ax, b = divmod(best_flat, n)
-    a, x = divmod(ax, n)
-    total = float(np.sum(sums))
-    mean = min(total / (n * n * n), best_val)
+    # Rank each slab: -1 if its maximum is not finite, its flat (a, x, b)
+    # index if it reaches the overall maximum, n^3 otherwise; the least wins.
+    a, b = np.divmod(args, n)
+    flat = (a * n + np.arange(n)) * n + b
+    x = int(np.where(np.isfinite(vals), np.where(vals == vals.max(), flat, n**3), -1).argmin())
+    a, b = int(a[x]), int(b[x])
+    if not math.isfinite(vals[x]):
+        raise KernelError(
+            f"non-finite defect term at ({labels[a]}, {labels[x]}, {labels[b]}): "
+            "products or norms of the kernel values overflow float64"
+        )
+    best_val = float(vals[x])
+    mean = min(float(np.sum(sums)) / (n * n * n), best_val)
     return DefectReport(
         defect=best_val,
         argmax_triple=(labels[a], labels[x], labels[b]),
@@ -211,6 +214,7 @@ def _resolve_defect(kernel: FiniteKernel, defect: float | None) -> float:
     return sincov_defect(kernel).defect if defect is None else float(defect)
 
 
+@_in_range
 def slice_residual(
     kernel: FiniteKernel,
     x0: str,
@@ -227,16 +231,10 @@ def slice_residual(
     D = _slab_function(kernel)(i0)
     flat = int(D.argmax())
     a, b = divmod(flat, kernel.n)
-    lhs = float(D.flat[flat])
     rhs = _resolve_defect(kernel, defect)
     tolv = check_tolerance(kernel, tol)
-    return BoundCheck(
-        name="slice_residual",
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs <= rhs + tolv,
-        witness=(kernel.labels[a], kernel.labels[b]),
-    )
+    witness = (kernel.labels[a], kernel.labels[b])
+    return _checks(["slice_residual"], D.flat[flat], rhs, tolv, [witness])[0]
 
 
 def _require_complex(kernel: FiniteKernel, operation: str) -> None:
@@ -259,40 +257,47 @@ def factorize(kernel: FiniteKernel, x0: str) -> Factorization:
 def _gauge_deviation(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """|f(x) g(x) - 1| for every x, with the product in component form."""
     re, im = _cmul(f.real, f.imag, g.real, g.imag)
-    dev = (re - 1.0).astype(np.complex128)
-    dev.imag = im
-    return np.abs(dev)
+    return np.hypot(re - 1.0, im)
 
 
+@_in_range
 def _factorization(kernel: FiniteKernel, reference, f_vec, g_vec) -> Factorization:
     """The Factorization of point maps f, g: gauge_error is the largest gauge
-    check lhs, and residual is infinite when f vanishes somewhere."""
-    if float(np.abs(f_vec).min()) == 0.0:
-        residual = math.inf
-    else:
-        residual = float(np.abs(kernel.table - f_vec[:, None] / f_vec[None, :]).max())
+    check lhs, and residual is infinite when f vanishes somewhere.  Any other
+    non-finite value raises KernelError."""
+    residual = math.inf
+    if f_vec.all():
+        dev = kernel.table - f_vec[:, None] / f_vec[None, :]
+        residual = float(np.hypot(dev.real, dev.imag).max())
+    gauge_error = float(_gauge_deviation(f_vec, g_vec).max())
+    if not math.isfinite(gauge_error) or math.isnan(residual):
+        raise KernelError(
+            f"non-finite factorization: gauge_error {gauge_error!r}, residual {residual!r}; "
+            "a value leaves float64 range"
+        )
     labels = kernel.labels
     return Factorization(
         reference=reference,
         f={lab: complex(v) for lab, v in zip(labels, f_vec)},
         g={lab: complex(v) for lab, v in zip(labels, g_vec)},
-        gauge_error=float(_gauge_deviation(f_vec, g_vec).max()),
+        gauge_error=gauge_error,
         residual=residual,
     )
 
 
+@_in_range
 def _gauge_sides(kernel: FiniteKernel, i0: int, c: float) -> tuple[np.ndarray, np.ndarray]:
     """|g(x) f(x) - 1| and its defect-driven bound (see gauge_error_bound)
     for every x at once, with f = F(., x0) and g = F(x0, .)."""
     if c < 0:
         raise KernelError("c must be nonnegative")
-    f, g = kernel.table[:, i0], kernel.table[i0, :]
-    absf, absg = np.abs(f), np.abs(g)
+    norms = kernel.entry_norms()
+    absf, absg = norms[:, i0], norms[i0, :]
     if float(absf.min()) == 0.0 or float(absg.min()) == 0.0:
         raise KernelError("gauge_error_bound: slice maps must not vanish")
-    fmax, gmax = float(absf.max()), float(absg.max())
+    fmax, gmax = absf.max(), absg.max()  # numpy scalars: an underflowing fmax * gmax gives inf
     rhs = (c * c + 2.0 * c) / (fmax * gmax) + (c * absf) / fmax + (c * absg) / gmax
-    return _gauge_deviation(f, g), rhs
+    return _gauge_deviation(kernel.table[:, i0], kernel.table[i0, :]), rhs
 
 
 def _gauge_checks(kernel: FiniteKernel, i0: int, c: float, tolv: float) -> list[BoundCheck]:
@@ -333,12 +338,7 @@ def gauge_bound(
     return _gauge_checks(kernel, i0, c, check_tolerance(kernel, tol))[ix]
 
 
-def _pair_argmax(grid: np.ndarray, labels: tuple[str, ...]) -> tuple[float, tuple[str, str]]:
-    flat = int(grid.argmax())
-    i, j = divmod(flat, grid.shape[1])
-    return float(grid.flat[flat]), (labels[i], labels[j])
-
-
+@_in_range
 def diagonal_report(
     kernel: FiniteKernel,
     *,
@@ -366,19 +366,21 @@ def diagonal_report(
     product = norm(*(q - d[:, None] for q, d in zip(products, diag)))
     diag_norm = norm(*diag)
 
-    spread_lhs, spread_wit = _pair_argmax(spread, labels)
-    prod_lhs, prod_wit = _pair_argmax(product, labels)
-    mag_lhs = float(diag_norm.max())
-    mag_wit = (labels[int(diag_norm.argmax())],)
-    mag_rhs = float(diag_norm.min()) + 2.0 * c
+    def pair_argmax(grid: np.ndarray) -> tuple[float, tuple[str, str]]:
+        i, j = divmod(int(grid.argmax()), kernel.n)
+        return grid[i, j], (labels[i], labels[j])
 
-    return [
-        BoundCheck("diag_spread", spread_lhs, 2.0 * c, spread_lhs <= 2.0 * c + tolv, spread_wit),
-        BoundCheck("diag_product", prod_lhs, c, prod_lhs <= c + tolv, prod_wit),
-        BoundCheck("diag_bound", mag_lhs, mag_rhs, mag_lhs <= mag_rhs + tolv, mag_wit),
-    ]
+    (spread_lhs, spread_wit), (prod_lhs, prod_wit) = map(pair_argmax, (spread, product))
+    return _checks(
+        ["diag_spread", "diag_product", "diag_bound"],
+        [spread_lhs, prod_lhs, diag_norm.max()],
+        [2.0 * c, c, diag_norm.min() + 2.0 * c],
+        tolv,
+        [spread_wit, prod_wit, (labels[int(diag_norm.argmax())],)],
+    )
 
 
+@_in_range
 def unit_diag_bound(
     kernel: FiniteKernel,
     *,
@@ -391,10 +393,10 @@ def unit_diag_bound(
     _require_complex(kernel, "unit_diag_bound")
     c = _resolve_defect(kernel, defect)
     tolv = check_tolerance(kernel, tol)
-    T = kernel.table
     labels = kernel.labels
-    absT = np.abs(T)
-    dev = np.abs(np.diagonal(T) - 1.0)
+    absT = kernel.entry_norms()
+    diag = np.diagonal(kernel.table)
+    dev = np.hypot(diag.real - 1.0, diag.imag)
     row_arg, col_arg = absT.argmax(axis=1).tolist(), absT.argmax(axis=0).tolist()
     return _label_checks(
         "unit_diag_row", labels, absT.max(axis=1) * dev, c, tolv,
@@ -405,6 +407,7 @@ def unit_diag_bound(
     )
 
 
+@_in_range
 def growth_witness(
     kernel: FiniteKernel,
     y0: str,
@@ -418,7 +421,7 @@ def growth_witness(
     j0 = kernel.index(y0)
     c = _resolve_defect(kernel, defect)
     tolv = check_tolerance(kernel, tol)
-    absT = np.abs(kernel.table)
+    absT = kernel.entry_norms()
     col0 = absT[:, j0]
     a_star = kernel.labels[int(col0.argmax())]
     return _label_checks(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -86,7 +86,7 @@ class InequalityMargin:
     margin: float
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs, "margin": self.margin}
+        return asdict(self)
 
 
 def _rowwise_inner(U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -204,10 +204,7 @@ def sample_vectors(dim: int, count: int, field: str, seed: int) -> list[IPVector
     if field not in FIELDS:
         raise VectorError(f"unknown field {field!r}")
     rng = np.random.default_rng(seed)
-    M = _draw(rng, count, dim, field)
-    if field == REAL_FIELD:
-        return [IPVector(field, tuple(float(c) for c in row)) for row in M]
-    return [IPVector(field, tuple(complex(c) for c in row)) for row in M]
+    return [IPVector(field, tuple(row)) for row in _draw(rng, count, dim, field).tolist()]
 
 
 @dataclass(frozen=True)
@@ -225,17 +222,7 @@ class SweepResult:
     gram_defect_holds: bool
 
     def to_dict(self) -> dict:
-        return {
-            "field": self.field,
-            "dim": self.dim,
-            "count": self.count,
-            "seed": self.seed,
-            "min_margins": dict(self.min_margins),
-            "margins_hold": self.margins_hold,
-            "gram_size": self.gram_size,
-            "gram_defect": self.gram_defect,
-            "gram_defect_holds": self.gram_defect_holds,
-        }
+        return asdict(self)
 
 
 def margin_sweep(

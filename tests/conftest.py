@@ -25,16 +25,18 @@ def brute_force_defect(kernel: FiniteKernel) -> float:
 
 def brute_force_gauge_bound(kernel: FiniteKernel, x0: str, x: str, c: float) -> tuple[float, float]:
     """Independent gauge oracle, label by label: |g(x) f(x) - 1| from the numpy
-    scalar product, and its bound as the minimum over the whole (a, b) grid."""
+    scalar product, and its bound as the minimum over the whole (a, b) grid.
+    Moduli are np.hypot of the components, the complex kind's declared norm."""
     T = kernel.table
     i0, ix = kernel.index(x0), kernel.index(x)
-    absf, absg = np.abs(T[:, i0]), np.abs(T[i0, :])
+    absf, absg = (np.hypot(v.real, v.imag) for v in (T[:, i0], T[i0, :]))
     grid = (
         (c * c + 2.0 * c) / np.outer(absf, absg)
         + (c * absf[ix]) / absf[:, None]
         + (c * absg[ix]) / absg[None, :]
     )
-    return float(np.abs(T[ix, i0] * T[i0, ix] - 1.0)), float(grid.min())
+    product = T[ix, i0] * T[i0, ix]
+    return float(np.hypot(product.real - 1.0, product.imag)), float(grid.min())
 
 
 def random_complex_kernel(rng: np.random.Generator, n: int) -> FiniteKernel:

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import brute_force_gauge_bound, random_complex_kernel
+from conftest import OVERFLOWING_KERNELS, brute_force_gauge_bound, random_complex_kernel
 from sincov import (
     GeneratorSpec,
     bound_suite,
     diagonal_report,
+    factorize,
     gauge_bound,
     gauge_error_bound,
     generate,
@@ -17,7 +18,7 @@ from sincov import (
     unit_diag_bound,
 )
 from sincov.analysis import check_tolerance
-from sincov.kernel import FiniteKernel, KernelError, UnknownLabelError
+from sincov.kernel import FiniteKernel, KernelError, UnknownLabelError, _cmul
 
 
 def test_slice_residual_exact_kernel():
@@ -261,3 +262,56 @@ def test_check_serialization_fields():
     assert list(doc.keys()) == ["name", "lhs", "rhs", "holds", "witness"]
     rep = sincov_defect(kernel).to_dict()
     assert list(rep.keys()) == ["defect", "argmax_triple", "triple_count", "mean_defect"]
+
+
+def test_check_sides_use_the_declared_norm_bit_for_bit():
+    # np.abs on complex values differs from np.hypot of the components in the
+    # last bit on about a third of values; every check must use the kind's norm
+    rng = np.random.default_rng(104)
+    for k in [0] * 10 + list(range(-50, 51, 10)):
+        kernel = random_complex_kernel(rng, int(rng.integers(2, 30)))
+        kernel = FiniteKernel(kernel.labels, "complex", kernel.table * 10.0 ** k)
+        T, norms, n = kernel.table, kernel.entry_norms(), kernel.n
+        d = np.diagonal(T)
+        unit_row = norms.max(axis=1) * np.hypot(d.real - 1.0, d.imag)
+        checks = unit_diag_bound(kernel, defect=0.0)
+        assert [c.lhs for c in checks[:n]] == unit_row.tolist()
+        growth = growth_witness(kernel, kernel.labels[0], defect=0.0)
+        assert [c.rhs for c in growth] == (norms[:, 0] * norms.max(axis=0)).tolist()
+        f, g = T[:, 0], T[0, :]
+        re, im = _cmul(f.real, f.imag, g.real, g.imag)
+        gauges = [gauge_bound(kernel, kernel.labels[0], lab, defect=0.0) for lab in kernel.labels]
+        assert [c.lhs for c in gauges] == np.hypot(re - 1.0, im).tolist()
+        dev = T - f[:, None] / f[None, :]
+        assert factorize(kernel, kernel.labels[0]).residual == np.hypot(dev.real, dev.imag).max()
+
+
+def _one_point_mat2(value: float) -> FiniteKernel:
+    return FiniteKernel(("a",), "mat2", np.full((1, 1, 2, 2), value))
+
+
+def test_non_finite_check_sides_raise_kernel_error():
+    kernel = OVERFLOWING_KERNELS["mat2-1e60-diagonal"]
+    with pytest.raises(KernelError, match="non-finite side in check slice_residual: lhs nan"):
+        slice_residual(kernel, "a", defect=1.0)
+    with pytest.raises(KernelError, match="non-finite side in check diag_product: lhs nan"):
+        diagonal_report(kernel, defect=1.0)
+    huge = _one_point_mat2(1e78)  # its squared norms overflow
+    with pytest.raises(KernelError, match="tolerance must be finite and nonnegative, got inf"):
+        bound_suite(huge, "a", defect=0.0)
+    with pytest.raises(KernelError, match="non-finite side in check slice_residual"):
+        bound_suite(huge, "a", defect=0.0, tol=1e-12)
+    with pytest.raises(KernelError, match="check diag_spread: lhs 0.0, rhs inf"):
+        diagonal_report(_one_point_mat2(1.0), defect=1e308, tol=0.0)  # 2c overflows
+    tiny = FiniteKernel(("a", "b"), "complex", np.full((2, 2), 1e-170 + 0j))
+    with pytest.raises(KernelError, match=r"check gauge\[a\]: lhs 1.0, rhs inf"):
+        bound_suite(tiny, "a")  # max |f| max |g| underflows to zero
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+def test_tolerance_must_be_finite_and_nonnegative(tol):
+    kernel = generate(GeneratorSpec("e1", n=2, c=1.0))
+    with pytest.raises(KernelError, match="tolerance must be finite and nonnegative"):
+        check_tolerance(kernel, tol)
+    with pytest.raises(KernelError, match="tolerance must be finite and nonnegative"):
+        bound_suite(kernel, "2", tol=tol)

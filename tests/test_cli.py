@@ -170,6 +170,14 @@ def test_input_errors_exit_three(tmp_path, capsys):
     assert code == 3
     assert "error: input" in err
 
+    # a tolerance that is not finite would make every check fail or vacuously hold
+    run(["gen", "--example", "e1", "--n", "3", "--c", "1", "-o", kpath], capsys)
+    for tol in ("nan", "inf"):
+        code, out, err = run(["check", "-i", kpath, "--tol", tol], capsys)
+        assert code == 3
+        assert f"error: input: tolerance must be finite and nonnegative, got {tol}" in err
+        assert out == ""
+
 
 def test_output_to_stdout_when_no_file(tmp_path, capsys):
     kpath = str(tmp_path / "k.json")
@@ -201,5 +209,21 @@ def test_non_finite_defect_terms_exit_three(tmp_path, command, name):
     )
     assert proc.returncode == 3
     assert "sincov: error: input: non-finite defect term at (a, a, a)" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_factorize_out_of_range_exits_three(tmp_path):
+    kpath = tmp_path / "k.json"
+    kpath.write_bytes(save_kernel(OVERFLOWING_KERNELS["complex-1e200"]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sincov", "factorize", "-i", str(kpath)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=60,
+    )
+    assert proc.returncode == 3
+    assert "sincov: error: input: non-finite factorization: gauge_error inf" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""

@@ -106,8 +106,28 @@ def test_repeated_runs_identical():
     assert sincov_defect(kernel) == sincov_defect(kernel)
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_ties_go_to_the_smallest_triple(monkeypatch, threads):
+    # Entries in {-1, 0, 1} make every term an exact small integer, so the
+    # maximum is reached by many triples, in many slabs.
+    rng = np.random.default_rng(5)
+    monkeypatch.setenv("SINCOV_THREADS", threads)
+    for n in (6, 70):
+        for _ in range(5):
+            table = rng.integers(-1, 2, (n, n)).astype(np.complex128)
+            kernel = FiniteKernel(tuple(f"p{i}" for i in range(n)), "complex", table)
+            terms = np.abs(table[:, :, None] * table[None, :, :] - table[:, None, :])
+            a, x, b = np.unravel_index(terms.argmax(), terms.shape)  # first in (a, x, b) order
+            report = sincov_defect(kernel)
+            assert report.argmax_triple == (f"p{a}", f"p{x}", f"p{b}")
+            assert report.defect == terms.max()
+
+
 def test_thread_limit_env(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
     monkeypatch.setenv("SINCOV_THREADS", "2")
+    assert thread_limit() == 2
+    monkeypatch.setenv("SINCOV_THREADS", "8")  # capped at the core count; starts no thread
     assert thread_limit() == 2
     monkeypatch.setenv("SINCOV_THREADS", "0")
     assert thread_limit() >= 1
