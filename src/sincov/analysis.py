@@ -20,6 +20,7 @@ reports infinity, where f vanishes somewhere.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -32,10 +33,17 @@ from .kernel import _ALGEBRA, COMPLEX, FiniteKernel, KernelError, _cmul, _compon
 
 TOL_SCALE = 1e-12
 _PARALLEL_MIN_SIZE = 64
-# Decorator for array work on kernel values: out-of-range results are caught by
-# value, not by warnings.  numpy's error state is per thread, so it also wraps
-# each scan worker; as a decorator it is reentrant and thread-safe (numpy >= 2).
-_in_range = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
+def _in_range(fn):
+    """Run fn with numpy's overflow warnings off: out-of-range results are
+    caught by value.  The error state is per thread, so scan workers are
+    wrapped too; a fresh errstate per call keeps nested calls safe."""
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return fn(*args, **kwargs)
+    return run
 
 
 def thread_limit() -> int:
@@ -92,16 +100,8 @@ class Factorization:
     residual: float
 
     def to_dict(self) -> dict:
-        def cmap(values: dict[str, complex]) -> dict:
-            return {k: [v.real, v.imag] for k, v in values.items()}
-
-        return {
-            "reference": self.reference,
-            "f": cmap(self.f),
-            "g": cmap(self.g),
-            "gauge_error": self.gauge_error,
-            "residual": "inf" if math.isinf(self.residual) else self.residual,
-        }
+        doc = {**vars(self), "residual": "inf" if math.isinf(self.residual) else self.residual}
+        return doc | {key: {k: [v.real, v.imag] for k, v in doc[key].items()} for key in "fg"}
 
 
 @dataclass(frozen=True)
@@ -270,7 +270,7 @@ def _factorization(kernel: FiniteKernel, reference, f_vec, g_vec) -> Factorizati
         dev = kernel.table - f_vec[:, None] / f_vec[None, :]
         residual = float(np.hypot(dev.real, dev.imag).max())
     gauge_error = float(_gauge_deviation(f_vec, g_vec).max())
-    if not math.isfinite(gauge_error) or math.isnan(residual):
+    if not (math.isfinite(gauge_error) and (math.isfinite(residual) or not f_vec.all())):
         raise KernelError(
             f"non-finite factorization: gauge_error {gauge_error!r}, residual {residual!r}; "
             "a value leaves float64 range"
@@ -291,13 +291,13 @@ def _gauge_sides(kernel: FiniteKernel, i0: int, c: float) -> tuple[np.ndarray, n
     for every x at once, with f = F(., x0) and g = F(x0, .)."""
     if c < 0:
         raise KernelError("c must be nonnegative")
-    norms = kernel.entry_norms()
-    absf, absg = norms[:, i0], norms[i0, :]
+    f, g = kernel.table[:, i0], kernel.table[i0, :]
+    absf, absg = (np.hypot(v.real, v.imag) for v in (f, g))  # entry_norms' complex norm
     if float(absf.min()) == 0.0 or float(absg.min()) == 0.0:
         raise KernelError("gauge_error_bound: slice maps must not vanish")
     fmax, gmax = absf.max(), absg.max()  # numpy scalars: an underflowing fmax * gmax gives inf
     rhs = (c * c + 2.0 * c) / (fmax * gmax) + (c * absf) / fmax + (c * absg) / gmax
-    return _gauge_deviation(kernel.table[:, i0], kernel.table[i0, :]), rhs
+    return _gauge_deviation(f, g), rhs
 
 
 def _gauge_checks(kernel: FiniteKernel, i0: int, c: float, tolv: float) -> list[BoundCheck]:

@@ -306,6 +306,10 @@ def test_non_finite_check_sides_raise_kernel_error():
     tiny = FiniteKernel(("a", "b"), "complex", np.full((2, 2), 1e-170 + 0j))
     with pytest.raises(KernelError, match=r"check gauge\[a\]: lhs 1.0, rhs inf"):
         bound_suite(tiny, "a")  # max |f| max |g| underflows to zero
+    # f = F(., a) = (1e-200, 1e200) does not vanish, but f(b)/f(a) overflows
+    spread = FiniteKernel(("a", "b"), "complex", np.array([[1e-200, 1e-200], [1e200, 1.0]]))
+    with pytest.raises(KernelError, match="non-finite factorization: gauge_error 1.0, residual inf"):
+        factorize(spread, "a")
 
 
 @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])

@@ -85,6 +85,7 @@ def test_is_exact():
 
 
 def test_determinism_across_thread_counts(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 8)  # 3 and 4 workers on any machine
     kernel = random_complex_kernel(np.random.default_rng(8), 80)
     reports = []
     for threads in ("1", "3", "0"):
@@ -111,6 +112,7 @@ def test_ties_go_to_the_smallest_triple(monkeypatch, threads):
     # Entries in {-1, 0, 1} make every term an exact small integer, so the
     # maximum is reached by many triples, in many slabs.
     rng = np.random.default_rng(5)
+    monkeypatch.setattr("os.cpu_count", lambda: 8)  # 2 workers on any machine
     monkeypatch.setenv("SINCOV_THREADS", threads)
     for n in (6, 70):
         for _ in range(5):
@@ -152,6 +154,7 @@ def test_non_finite_defect_terms_raise_in_every_worker(monkeypatch, threads):
     table = np.ones((64, 64, 2, 2))
     table[:, 40] = 1e70
     kernel = FiniteKernel(tuple(f"p{i}" for i in range(64)), "mat2", table)
+    monkeypatch.setattr("os.cpu_count", lambda: 8)  # 2 workers on any machine
     monkeypatch.setenv("SINCOV_THREADS", threads)
     with pytest.raises(KernelError, match=r"non-finite defect term at \(p0, p40, p40\)"):
         sincov_defect(kernel)
