@@ -24,6 +24,7 @@ import functools
 import json
 import math
 import os
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -140,15 +141,25 @@ def _label_checks(family: str, labels, lhs, rhs, tolv: float, witnesses) -> list
 
 
 def _slab_function(kernel: FiniteKernel):
-    """slab(x): the defect terms |F(a, x) F(x, b) - F(a, b)| for all (a, b)."""
+    """slab(x, out): the defect terms |F(a, x) F(x, b) - F(a, b)| for all
+    (a, b), computed in the buffers of out = _slab_buffers(n).  The result is
+    one of those buffers, so the next call with the same out overwrites it."""
     mul, norm = _ALGEBRA[kernel.value_kind]
     parts = _components(kernel.table, kernel.value_kind)
 
-    def slab(x: int) -> np.ndarray:
-        products = mul(*(p[:, x][:, None] for p in parts), *(p[x, :][None, :] for p in parts))
-        return norm(*(q - p for q, p in zip(products, parts)))
+    def slab(x: int, out) -> np.ndarray:
+        product_buffers, norm_buffers = out
+        products = mul(*(p[:, x][:, None] for p in parts), *(p[x, :][None, :] for p in parts),
+                       out=product_buffers)
+        return norm(*(np.subtract(q, p, out=q) for q, p in zip(products, parts)), out=norm_buffers)
 
     return slab
+
+
+def _slab_buffers(n: int):
+    """The buffers of one slab evaluation, for the product and for the norm:
+    two maps from index to an (n, n) float64 array made on first use."""
+    return tuple(defaultdict(lambda: np.empty((n, n))) for _ in range(2))
 
 
 def sincov_defect(kernel: FiniteKernel) -> DefectReport:
@@ -168,8 +179,9 @@ def sincov_defect(kernel: FiniteKernel) -> DefectReport:
 
     @_in_range
     def scan(xs: range) -> None:
+        out = _slab_buffers(n)  # one set per worker, reused for each of its slabs
         for x in xs:
-            D = slab(x)
+            D = slab(x, out)
             args[x] = D.argmax()
             vals[x] = D.flat[args[x]]
             sums[x] = D.sum()
@@ -228,7 +240,7 @@ def slice_residual(
     enumerated triples.
     """
     i0 = kernel.index(x0)
-    D = _slab_function(kernel)(i0)
+    D = _slab_function(kernel)(i0, _slab_buffers(kernel.n))
     flat = int(D.argmax())
     a, b = divmod(flat, kernel.n)
     rhs = _resolve_defect(kernel, defect)

@@ -16,7 +16,15 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .analysis import sincov_defect
-from .kernel import COMPLEX, FiniteKernel, KernelFormatError, _reals, _reject_constant
+from .kernel import (
+    COMPLEX,
+    FiniteKernel,
+    KernelFormatError,
+    _gc_paused,
+    _reals,
+    _reject_constant,
+    _spread,
+)
 
 REAL_FIELD = "real"
 COMPLEX_FIELD = "complex"
@@ -295,9 +303,19 @@ def save_vectors(vectors: list[IPVector]) -> bytes:
     return (text + "\n").encode("utf-8")
 
 
+def _vector_errors(rows: list, field: str, dim: int):
+    """The shape errors of a vectors array, row by row."""
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != dim:
+            yield VectorError(f"vectors[{i}]: expected {dim} coordinates")
+        elif field == COMPLEX_FIELD and any(not isinstance(c, list) or len(c) != 2 for c in row):
+            yield VectorError(f"vectors[{i}]: complex coordinates must be [re, im]")
+
+
+@_gc_paused
 def load_vectors(data: bytes) -> list[IPVector]:
-    """Parse and validate a vector document; inverse of save_vectors.  Reals
-    are read like kernel file reals, by the same reader."""
+    """Parse and validate a vector document; inverse of save_vectors.  Shapes
+    and reals are read like kernel file reals, by the same helpers."""
     try:
         text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else str(data)
         doc = json.loads(text, parse_constant=_reject_constant)
@@ -316,20 +334,17 @@ def load_vectors(data: bytes) -> list[IPVector]:
     rows = doc["vectors"]
     if not isinstance(rows, list) or not rows:
         raise VectorError("vectors must be a non-empty array")
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != dim:
-            raise VectorError(f"vectors[{i}]: expected {dim} coordinates")
-        if field == COMPLEX_FIELD and any(not isinstance(c, list) or len(c) != 2 for c in row):
-            raise VectorError(f"vectors[{i}]: complex coordinates must be [re, im]")
+    flat = _spread(rows, dim)
+    if flat is not None and field == COMPLEX_FIELD:
+        flat = _spread(flat, 2)
+    if flat is None:
+        raise next(_vector_errors(rows, field, dim))
     try:
         if field == REAL_FIELD:
-            coords = _reals(
-                [c for row in rows for c in row], lambda k: "vectors[%d][%d]" % divmod(k, dim)
-            )
+            coords = _reals(flat, lambda k: "vectors[%d][%d]" % divmod(k, dim))
         else:
             coords = _reals(
-                [v for row in rows for c in row for v in c],
-                lambda k: "vectors[%d][%d][%d]" % (*divmod(k // 2, dim), k % 2),
+                flat, lambda k: "vectors[%d][%d][%d]" % (*divmod(k // 2, dim), k % 2)
             ).view(np.complex128)
     except KernelFormatError as exc:
         raise VectorError(str(exc)) from None

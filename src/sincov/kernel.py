@@ -9,9 +9,13 @@ between threads.
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -57,36 +61,61 @@ class UnknownLabelError(KernelError):
 # from single ufunc applications (multiply, add, subtract, hypot, sqrt), which
 # are correctly rounded per element, so scalar and array evaluations agree bit
 # for bit; fused expressions such as numpy's SIMD complex multiply do not.
+#
+# Each function also takes out=, indexable buffer arrays: its steps write
+# into out[0], out[1], ... and its results are the first of them.  The scan
+# passes buffers that it reuses for every slab; without out= every step gets
+# a fresh result, as for Python floats.  _mul2x2 uses the most, five.
+_UNBUFFERED = (None,) * 5
 
-def _cmul(ar, ai, br, bi):
-    """Complex product in component form."""
-    return ar * br - ai * bi, ar * bi + ai * br
+
+def _cmul(ar, ai, br, bi, out=_UNBUFFERED):
+    """Complex product in component form; out[2] is scratch."""
+    re = np.subtract(np.multiply(ar, br, out=out[0]), np.multiply(ai, bi, out=out[2]), out=out[0])
+    im = np.add(np.multiply(ar, bi, out=out[1]), np.multiply(ai, br, out=out[2]), out=out[1])
+    return re, im
 
 
-def _mul2x2(a00, a01, a10, a11, b00, b01, b10, b11):
-    """2x2 matrix product in component form."""
+def _cnorm(re, im, out=_UNBUFFERED):
+    """Modulus of a complex value in component form."""
+    return np.hypot(re, im, out=out[0])
+
+
+def _mul2x2(a00, a01, a10, a11, b00, b01, b10, b11, out=_UNBUFFERED):
+    """2x2 matrix product in component form; out[4] is scratch."""
+
+    def dot(k, x, y, z, w):  # x * y + z * w
+        return np.add(np.multiply(x, y, out=out[k]), np.multiply(z, w, out=out[4]), out=out[k])
+
     return (
-        a00 * b00 + a01 * b10,
-        a00 * b01 + a01 * b11,
-        a10 * b00 + a11 * b10,
-        a10 * b01 + a11 * b11,
+        dot(0, a00, b00, a01, b10),
+        dot(1, a00, b01, a01, b11),
+        dot(2, a10, b00, a11, b10),
+        dot(3, a10, b01, a11, b11),
     )
 
 
-def _norm2x2(m00, m01, m10, m11):
-    """Largest singular value of a real 2x2 matrix, in component form.
+def _norm2x2(m00, m01, m10, m11, out=_UNBUFFERED):
+    """Largest singular value of a real 2x2 matrix, in component form; out[1]
+    and out[2] are scratch.
 
     Closed form from the two Frobenius invariants (squared Frobenius norm
-    and determinant); no iterative factorization.
+    and determinant); no iterative factorization:
+      q = m00^2 + m01^2 + m10^2 + m11^2,  det = m00 m11 - m01 m10,
+      norm = sqrt(0.5 (q + sqrt(max(q^2 - 4 det^2, 0)))).
     """
-    q = m00 * m00 + m01 * m01 + m10 * m10 + m11 * m11
-    det = m00 * m11 - m01 * m10
-    disc = np.sqrt(np.maximum(q * q - 4.0 * (det * det), 0.0))
-    return np.sqrt(0.5 * (q + disc))
+    q = np.multiply(m00, m00, out=out[0])
+    for m in (m01, m10, m11):
+        q = np.add(q, np.multiply(m, m, out=out[1]), out=out[0])
+    det = np.subtract(np.multiply(m00, m11, out=out[1]), np.multiply(m01, m10, out=out[2]), out=out[1])
+    det4 = np.multiply(4.0, np.multiply(det, det, out=out[1]), out=out[1])
+    disc = np.subtract(np.multiply(q, q, out=out[2]), det4, out=out[2])
+    disc = np.sqrt(np.maximum(disc, 0.0, out=out[2]), out=out[2])
+    return np.sqrt(np.multiply(0.5, np.add(q, disc, out=out[0]), out=out[0]), out=out[0])
 
 
 # kind -> (product, norm), both taking components in storage order
-_ALGEBRA = {COMPLEX: (_cmul, np.hypot), MAT2: (_mul2x2, _norm2x2)}
+_ALGEBRA = {COMPLEX: (_cmul, _cnorm), MAT2: (_mul2x2, _norm2x2)}
 
 
 def _components(table, kind: str) -> tuple[np.ndarray, ...]:
@@ -184,7 +213,9 @@ class AlgebraValue:
 
     def __mul__(self, other: "AlgebraValue") -> "AlgebraValue":
         self._same_kind(other)
-        return self._of_parts(_ALGEBRA[self.kind][0](*self._parts(), *other._parts()))
+        with np.errstate(over="ignore", invalid="ignore"):  # silent, like Python floats
+            parts = _ALGEBRA[self.kind][0](*self._parts(), *other._parts())
+        return self._of_parts(parts)
 
     def scale(self, factor: float) -> "AlgebraValue":
         lam = float(factor)
@@ -192,7 +223,8 @@ class AlgebraValue:
 
     @property
     def norm(self) -> float:
-        return float(_ALGEBRA[self.kind][1](*self._parts()))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(_ALGEBRA[self.kind][1](*self._parts()))
 
 
 def defect_term(ax: AlgebraValue, xb: AlgebraValue, ab: AlgebraValue) -> float:
@@ -264,8 +296,14 @@ class FiniteKernel:
         return self.entry(self.index(a), self.index(b))
 
     def entry_norms(self) -> np.ndarray:
-        """Norms of all entries as an (n, n) float array."""
-        return _ALGEBRA[self.value_kind][1](*_components(self.table, self.value_kind))
+        """Norms of all entries as a read-only (n, n) float array, computed once."""
+        return self._entry_norms
+
+    @functools.cached_property
+    def _entry_norms(self) -> np.ndarray:
+        norms = _ALGEBRA[self.value_kind][1](*_components(self.table, self.value_kind))
+        norms.setflags(write=False)
+        return norms
 
     def max_norm(self) -> float:
         return float(self.entry_norms().max())
@@ -451,10 +489,36 @@ def generate(spec: GeneratorSpec) -> FiniteKernel:
 #     "entries": [[ {"re": r, "im": i} | {"m": [[a, b], [c, d]]}, ...], ...] }
 # entries is row-major, entries[i][j] = F(labels[i], labels[j]).  Unknown
 # top-level keys are rejected.  Every real is a finite JSON integer or decimal
-# literal; the loaders check all entry shapes first, then read every real in
-# storage order with one call to _reals.
+# literal.  The loaders check the shape of every level of nesting with one
+# C-level pass each (_spread), then read every real in storage order with one
+# call to _reals; only on error does a per-entry walk name the first bad one.
 
 _TOP_KEYS = ("labels", "value_kind", "entries")
+
+
+def _gc_paused(fn):
+    """Run fn with Python's cyclic garbage collector paused, and restore the
+    caller's setting after.  A parsed JSON document holds no reference
+    cycles, but the many lists and dicts it is made of would trigger full
+    collections while it is built."""
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return run
+
+
+def _spread(items: list, width: int) -> list | None:
+    """The elements of the lists in items, in order, if every item is a list
+    of exactly width elements; otherwise None."""
+    if set(map(type, items)) <= {list} and set(map(len, items)) <= {width}:
+        return list(chain.from_iterable(items))
+    return None
 
 
 def save_kernel(kernel: FiniteKernel) -> bytes:
@@ -507,6 +571,44 @@ _ENTRY_FORMS = {
 }
 
 
+def _entry_reals(entries: list, kind: str, n: int) -> list | None:
+    """Every real of an entries array of n rows, in storage order, or None if
+    a row or an entry is malformed."""
+    cells = _spread(entries, n)
+    keys = len(_ENTRY_FORMS[kind][0])
+    if cells is None or set(map(type, cells)) != {dict} or set(map(len, cells)) != {keys}:
+        return None
+    try:  # with the right number of keys, the right keys are all there
+        if kind == COMPLEX:
+            return list(chain.from_iterable(map(itemgetter("re", "im"), cells)))
+        matrices = list(map(itemgetter("m"), cells))
+    except KeyError:
+        return None
+    del cells
+    rows = _spread(matrices, 2)
+    del matrices
+    return None if rows is None else _spread(rows, 2)
+
+
+def _entry_errors(entries: list, kind: str, n: int):
+    """The shape errors of an entries array of n rows, in the order they are
+    reported: every row first, then every entry in storage order."""
+    for i, row in enumerate(entries):
+        if not isinstance(row, list) or len(row) != n:
+            yield KernelFormatError(f"row must have {n} entries", f"entries[{i}]")
+    keys, form, _ = _ENTRY_FORMS[kind]
+    for i, row in enumerate(entries):
+        for j, obj in enumerate(row):
+            if not (isinstance(obj, dict) and obj.keys() == keys):
+                yield KernelFormatError(f"{kind} entry must be {form}", f"entries[{i}][{j}]")
+            elif kind == MAT2 and not (
+                isinstance(m := obj["m"], list) and len(m) == 2
+                and all(isinstance(r, list) and len(r) == 2 for r in m)
+            ):
+                yield KernelFormatError("m must be a 2x2 array", f"entries[{i}][{j}].m")
+
+
+@_gc_paused
 def load_kernel(data: bytes) -> FiniteKernel:
     """Parse and validate a kernel document; inverse of save_kernel."""
     try:
@@ -518,6 +620,7 @@ def load_kernel(data: bytes) -> FiniteKernel:
         doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise KernelFormatError(f"invalid JSON: {exc}") from None
+    del text
 
     if not isinstance(doc, dict):
         raise KernelFormatError("top level must be an object")
@@ -542,29 +645,16 @@ def load_kernel(data: bytes) -> FiniteKernel:
     n = len(labels)
     if not isinstance(entries, list) or len(entries) != n:
         raise KernelFormatError(f"entries must have {n} rows", "entries")
-    for i, row in enumerate(entries):
-        if not isinstance(row, list) or len(row) != n:
-            raise KernelFormatError(f"row must have {n} entries", f"entries[{i}]")
-
-    keys, form, slots = _ENTRY_FORMS[kind]
-    for i, row in enumerate(entries):
-        for j, obj in enumerate(row):
-            if not (isinstance(obj, dict) and obj.keys() == keys):
-                raise KernelFormatError(f"{kind} entry must be {form}", f"entries[{i}][{j}]")
-            m = obj.get("m")
-            if kind == MAT2 and not (
-                isinstance(m, list) and len(m) == 2
-                and all(isinstance(r, list) and len(r) == 2 for r in m)
-            ):
-                raise KernelFormatError("m must be a 2x2 array", f"entries[{i}][{j}].m")
-    if kind == COMPLEX:
-        flat = [v for row in entries for e in row for v in (e["re"], e["im"])]
-    else:
-        flat = [v for row in entries for e in row for r in e["m"] for v in r]
+    flat = _entry_reals(entries, kind, n)
+    if flat is None:
+        raise next(_entry_errors(entries, kind, n))
+    del doc, entries  # flat holds every real: free the document before the array is made
+    slots = _ENTRY_FORMS[kind][2]
     width = len(slots)
     reals = _reals(
         flat, lambda k: "entries[%d][%d]%s" % (*divmod(k // width, n), slots[k % width])
     )
+    del flat
     if kind == COMPLEX:
         return FiniteKernel(tuple(labels), kind, reals.view(np.complex128).reshape(n, n))
     return FiniteKernel(tuple(labels), kind, reals.reshape(n, n, 2, 2))

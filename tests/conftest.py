@@ -1,6 +1,7 @@
 import numpy as np
 
-from sincov import FiniteKernel
+from sincov import DefectReport, FiniteKernel
+from sincov.kernel import _ALGEBRA, _components
 
 
 def brute_force_defect(kernel: FiniteKernel) -> float:
@@ -21,6 +22,54 @@ def brute_force_defect(kernel: FiniteKernel) -> float:
                     m = t[a, x] @ t[x, b] - t[a, b]
                     worst = max(worst, float(np.linalg.norm(m, 2)))
     return worst
+
+
+def unbuffered_slabs(kernel: FiniteKernel) -> list[np.ndarray]:
+    """Reference slabs without buffers: for every x, the terms
+    |F(a, x) F(x, b) - F(a, b)| from the _ALGEBRA functions on fresh arrays."""
+    mul, norm = _ALGEBRA[kernel.value_kind]
+    parts = _components(kernel.table, kernel.value_kind)
+    slabs = []
+    for x in range(kernel.n):
+        products = mul(*(p[:, x][:, None] for p in parts), *(p[x, :][None, :] for p in parts))
+        slabs.append(norm(*(q - p for q, p in zip(products, parts))))
+    return slabs
+
+
+def unbuffered_defect_report(kernel: FiniteKernel) -> DefectReport:
+    """Reference scan over unbuffered_slabs, one slab at a time in x order.
+    The maximum goes to the smallest (a, x, b) triple attaining it; the mean
+    is the scan's reduction, the sum of the slab sums over n^3."""
+    n = kernel.n
+    slabs = unbuffered_slabs(kernel)
+    best = max(float(D.max()) for D in slabs)
+    a, x, b = min(
+        (int(a), x, int(b)) for x, D in enumerate(slabs) for a, b in np.argwhere(D == best)
+    )
+    sums = np.array([D.sum() for D in slabs])
+    labels = kernel.labels
+    return DefectReport(
+        defect=best,
+        argmax_triple=(labels[a], labels[x], labels[b]),
+        triple_count=n**3,
+        mean_defect=min(float(np.sum(sums)) / n**3, best),
+    )
+
+
+def decreasing_slab_kernel(kind: str, n: int, seed: int = 0) -> FiniteKernel:
+    """F(u, v) = w(u) w(v) (1 + eps R(u, v)) with w falling from 3 to 1.5 and
+    small noise R, so the largest defect term of slab x, about
+    w_max^2 (w(x)^2 - 1), falls strictly with x.  A slab that reuses a value
+    left over from an earlier slab then reports too large a term."""
+    rng = np.random.default_rng(seed)
+    w = np.linspace(3.0, 1.5, n)
+    scale = w[:, None] * w[None, :]
+    if kind == "complex":
+        noise = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+        table = scale * (1.0 + 1e-3 * noise)
+    else:
+        table = scale[..., None, None] * (np.eye(2) + 1e-3 * rng.uniform(-1, 1, (n, n, 2, 2)))
+    return FiniteKernel(tuple(f"p{i}" for i in range(n)), kind, table)
 
 
 def brute_force_gauge_bound(kernel: FiniteKernel, x0: str, x: str, c: float) -> tuple[float, float]:

@@ -222,3 +222,14 @@ def test_kernel_is_immutable_and_indexable():
     assert kernel.value_at("4", "2").as_complex() == 2.0
     with pytest.raises(UnknownLabelError):
         kernel.index("17")
+
+
+def test_entry_norms_are_computed_once_and_read_only():
+    rng = np.random.default_rng(4)
+    for kernel in (random_complex_kernel(rng, 5), random_mat2_kernel(rng, 4)):
+        norms = kernel.entry_norms()
+        assert kernel.entry_norms() is norms
+        assert not norms.flags.writeable
+        for i in range(kernel.n):
+            for j in range(kernel.n):
+                assert norms[i, j] == kernel.entry(i, j).norm
