@@ -11,11 +11,14 @@ concurrently (0 = auto).  The max reduction breaks ties toward the
 lexicographically smallest (a, x, b) index triple, so results are identical
 for any chunking or thread count.
 
-Range policy: every norm of a kernel value is the kind's declared norm, and
-array work runs with numpy's overflow warnings off.  A quantity that leaves
-float64 range (a defect term, the tolerance, a check side, a gauge error) is
-detected by value and raises KernelError; only a factorization's residual
-reports infinity, where f vanishes somewhere.
+Range policy: every norm of a kernel value is the kind's declared norm
+(kernel._ALGEBRA), which is finite whenever the exact norm is inside float64
+range: its fast closed form is recomputed at a power-of-two scale wherever
+its squares could have overflowed or underflowed.  Array work runs with
+numpy's overflow warnings off.  A quantity that leaves float64 range (a
+defect term, the tolerance, a check side, a gauge error) is detected by
+value and raises KernelError; only a factorization's residual reports
+infinity, where f vanishes somewhere.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .kernel import _ALGEBRA, COMPLEX, FiniteKernel, KernelError, _cmul, _components
+from .kernel import _ALGEBRA, COMPLEX, FiniteKernel, KernelError, _cmul, _cnorm, _components
 
 TOL_SCALE = 1e-12
 _PARALLEL_MIN_SIZE = 64
@@ -269,7 +272,7 @@ def factorize(kernel: FiniteKernel, x0: str) -> Factorization:
 def _gauge_deviation(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """|f(x) g(x) - 1| for every x, with the product in component form."""
     re, im = _cmul(f.real, f.imag, g.real, g.imag)
-    return np.hypot(re - 1.0, im)
+    return _cnorm(re - 1.0, im)
 
 
 @_in_range
@@ -280,7 +283,7 @@ def _factorization(kernel: FiniteKernel, reference, f_vec, g_vec) -> Factorizati
     residual = math.inf
     if f_vec.all():
         dev = kernel.table - f_vec[:, None] / f_vec[None, :]
-        residual = float(np.hypot(dev.real, dev.imag).max())
+        residual = float(_cnorm(dev.real, dev.imag).max())
     gauge_error = float(_gauge_deviation(f_vec, g_vec).max())
     if not (math.isfinite(gauge_error) and (math.isfinite(residual) or not f_vec.all())):
         raise KernelError(
@@ -304,11 +307,14 @@ def _gauge_sides(kernel: FiniteKernel, i0: int, c: float) -> tuple[np.ndarray, n
     if c < 0:
         raise KernelError("c must be nonnegative")
     f, g = kernel.table[:, i0], kernel.table[i0, :]
-    absf, absg = (np.hypot(v.real, v.imag) for v in (f, g))  # entry_norms' complex norm
+    norms = kernel.entry_norms()
+    absf, absg = norms[:, i0], norms[i0, :]
     if float(absf.min()) == 0.0 or float(absg.min()) == 0.0:
         raise KernelError("gauge_error_bound: slice maps must not vanish")
-    fmax, gmax = absf.max(), absg.max()  # numpy scalars: an underflowing fmax * gmax gives inf
-    rhs = (c * c + 2.0 * c) / (fmax * gmax) + (c * absf) / fmax + (c * absg) / gmax
+    fmax, gmax = absf.max(), absg.max()
+    # each product of c with a modulus is taken after a quotient: fmax * gmax
+    # underflows, and c * |f(x)| overflows, on kernels whose bound is in range
+    rhs = (c / fmax) * ((c + 2.0) / gmax) + c * (absf / fmax) + c * (absg / gmax)
     return _gauge_deviation(f, g), rhs
 
 
@@ -323,7 +329,9 @@ def gauge_error_bound(kernel: FiniteKernel, x0: str, x: str, c: float) -> float:
 
         (c^2 + 2c) / (|f(a)| |g(b)|) + c |f(x)|/|f(a)| + c |g(x)|/|g(b)|
 
-    with f = F(., x0) and g = F(x0, .).  Requires nonvanishing slices.
+    with f = F(., x0) and g = F(x0, .), evaluated as
+    (c / |f(a)|) ((c + 2) / |g(b)|) + c (|f(x)|/|f(a)|) + c (|g(x)|/|g(b)|).
+    Requires nonvanishing slices.
 
     Every term is non-increasing in |f(a)| and in |g(b)|, and IEEE multiply,
     divide and add round monotonically, so the minimum over the (a, b) grid
@@ -408,7 +416,7 @@ def unit_diag_bound(
     labels = kernel.labels
     absT = kernel.entry_norms()
     diag = np.diagonal(kernel.table)
-    dev = np.hypot(diag.real - 1.0, diag.imag)
+    dev = _cnorm(diag.real - 1.0, diag.imag)
     row_arg, col_arg = absT.argmax(axis=1).tolist(), absT.argmax(axis=0).tolist()
     return _label_checks(
         "unit_diag_row", labels, absT.max(axis=1) * dev, c, tolv,

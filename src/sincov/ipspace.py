@@ -321,6 +321,8 @@ def load_vectors(data: bytes) -> list[IPVector]:
         doc = json.loads(text, parse_constant=_reject_constant)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise VectorError(f"invalid vector document: {exc}") from None
+    except RecursionError:
+        raise VectorError("invalid vector document: nesting too deep") from None
     except KernelFormatError as exc:
         raise VectorError(str(exc)) from None
     if not isinstance(doc, dict) or set(doc.keys()) != {"field", "dim", "vectors"}:

@@ -13,6 +13,7 @@ import functools
 import gc
 import json
 import math
+import threading
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
@@ -58,9 +59,10 @@ class UnknownLabelError(KernelError):
 # component form, over the real component arrays that _components returns.
 # The scalar value type, the defect scan and the diagonal checks all compute
 # through that table, so they share one arithmetic.  Each function is built
-# from single ufunc applications (multiply, add, subtract, hypot, sqrt), which
-# are correctly rounded per element, so scalar and array evaluations agree bit
-# for bit; fused expressions such as numpy's SIMD complex multiply do not.
+# from single ufunc applications (multiply, add, subtract, sqrt, frexp,
+# ldexp), which are correctly rounded per element, so scalar and array
+# evaluations agree bit for bit; fused expressions such as numpy's SIMD
+# complex multiply do not.
 #
 # Each function also takes out=, indexable buffer arrays: its steps write
 # into out[0], out[1], ... and its results are the first of them.  The scan
@@ -76,9 +78,52 @@ def _cmul(ar, ai, br, bi, out=_UNBUFFERED):
     return re, im
 
 
+# Both norms are closed forms in squares of the components, which overflow
+# or lose bits to underflow long before the norm itself leaves float64
+# range.  _range_guarded keeps the fast form where its result r lies in a
+# window [lo, hi] inside which no step can overflow, and every step that
+# falls below the normal range (2^-1022) meets a term above 2^-962 in a sum
+# or difference: under 2^-60 of that term, less than half its ulp, it
+# rounds away whatever its own rounding was.  So inside the window the
+# rounded result is unchanged, up to the scale, when every component is
+# scaled by a power of two.  The elements outside it (also 0, inf and NaN)
+# are recomputed from their components scaled by the power of two that
+# puts the largest component modulus in [0.5, 1), where the result lies in
+# [0.5, 2] and so inside the window, and ldexp scales that result back: it
+# overflows or underflows only when the norm itself does.
+#
+#   complex, r^2 = re^2 + im^2:  r <= 2^480 keeps each square under 2^960,
+#     and r >= 2^-480 puts the larger square above 2^-961.
+#   mat2, q = sigma1^2 + sigma2^2 <= 2 r^2 and |det| = sigma1 sigma2 <= r^2:
+#     r <= 2^240 keeps q^2 and 4 det^2 under 2^962, and r >= 2^-240 puts
+#     q above 2^-480 and q^2 above 2^-960.
+
+def _range_guarded(lo: float, hi: float):
+    """Decorate a norm formula with the range guard for the window [lo, hi]."""
+
+    def guard(formula):
+        @functools.wraps(formula)
+        def norm(*parts, out=_UNBUFFERED):
+            with np.errstate(over="ignore", invalid="ignore"):
+                r = np.asarray(formula(*parts, out=out))
+                if not (r.min() >= lo and r.max() <= hi):  # false on NaN
+                    outside = ~((r >= lo) & (r <= hi))
+                    comps = np.array([np.broadcast_to(p, r.shape)[outside] for p in parts])
+                    _, e = np.frexp(np.abs(comps).max(axis=0))
+                    r[outside] = np.ldexp(formula(*np.ldexp(comps, -e)), e)
+            return r
+
+        return norm
+
+    return guard
+
+
+@_range_guarded(2.0**-480, 2.0**480)
 def _cnorm(re, im, out=_UNBUFFERED):
-    """Modulus of a complex value in component form."""
-    return np.hypot(re, im, out=out[0])
+    """Modulus of a complex value in component form; out[1] is scratch."""
+    sq = np.multiply(re, re, out=out[0])
+    sq = np.add(sq, np.multiply(im, im, out=out[1]), out=out[0])
+    return np.sqrt(sq, out=out[0])
 
 
 def _mul2x2(a00, a01, a10, a11, b00, b01, b10, b11, out=_UNBUFFERED):
@@ -95,6 +140,7 @@ def _mul2x2(a00, a01, a10, a11, b00, b01, b10, b11, out=_UNBUFFERED):
     )
 
 
+@_range_guarded(2.0**-240, 2.0**240)
 def _norm2x2(m00, m01, m10, m11, out=_UNBUFFERED):
     """Largest singular value of a real 2x2 matrix, in component form; out[1]
     and out[2] are scratch.
@@ -223,8 +269,7 @@ class AlgebraValue:
 
     @property
     def norm(self) -> float:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float(_ALGEBRA[self.kind][1](*self._parts()))
+        return float(_ALGEBRA[self.kind][1](*self._parts()))
 
 
 def defect_term(ax: AlgebraValue, xb: AlgebraValue, ab: AlgebraValue) -> float:
@@ -496,20 +541,34 @@ def generate(spec: GeneratorSpec) -> FiniteKernel:
 _TOP_KEYS = ("labels", "value_kind", "entries")
 
 
+_gc_lock = threading.Lock()
+_gc_pause = {"depth": 0, "resume": False}  # guarded by _gc_lock
+
+
 def _gc_paused(fn):
     """Run fn with Python's cyclic garbage collector paused, and restore the
     caller's setting after.  A parsed JSON document holds no reference
     cycles, but the many lists and dicts it is made of would trigger full
-    collections while it is built."""
+    collections while it is built.
+
+    The collector is process-wide, so concurrent calls share one pause: the
+    first saves the setting and the last restores it.  A save per call would
+    let a call that starts inside another's pause save "off", and leave the
+    collector off after both."""
     @functools.wraps(fn)
     def run(*args, **kwargs):
-        enabled = gc.isenabled()
-        gc.disable()
+        with _gc_lock:
+            if _gc_pause["depth"] == 0:
+                _gc_pause["resume"] = gc.isenabled()
+                gc.disable()
+            _gc_pause["depth"] += 1
         try:
             return fn(*args, **kwargs)
         finally:
-            if enabled:
-                gc.enable()
+            with _gc_lock:
+                _gc_pause["depth"] -= 1
+                if _gc_pause["depth"] == 0 and _gc_pause["resume"]:
+                    gc.enable()
     return run
 
 
@@ -620,6 +679,8 @@ def load_kernel(data: bytes) -> FiniteKernel:
         doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise KernelFormatError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise KernelFormatError("invalid JSON: nesting too deep") from None
     del text
 
     if not isinstance(doc, dict):

@@ -1,7 +1,8 @@
+import mpmath
 import numpy as np
 
 from sincov import DefectReport, FiniteKernel
-from sincov.kernel import _ALGEBRA, _components
+from sincov.kernel import _ALGEBRA, _cnorm, _components
 
 
 def brute_force_defect(kernel: FiniteKernel) -> float:
@@ -74,18 +75,19 @@ def decreasing_slab_kernel(kind: str, n: int, seed: int = 0) -> FiniteKernel:
 
 def brute_force_gauge_bound(kernel: FiniteKernel, x0: str, x: str, c: float) -> tuple[float, float]:
     """Independent gauge oracle, label by label: |g(x) f(x) - 1| from the numpy
-    scalar product, and its bound as the minimum over the whole (a, b) grid.
-    Moduli are np.hypot of the components, the complex kind's declared norm."""
+    scalar product, and its bound as the minimum over the whole (a, b) grid,
+    in the evaluation order of gauge_error_bound.  Moduli are _cnorm of the
+    components, the complex kind's declared norm."""
     T = kernel.table
     i0, ix = kernel.index(x0), kernel.index(x)
-    absf, absg = (np.hypot(v.real, v.imag) for v in (T[:, i0], T[i0, :]))
+    absf, absg = (_cnorm(v.real, v.imag) for v in (T[:, i0], T[i0, :]))
     grid = (
-        (c * c + 2.0 * c) / np.outer(absf, absg)
-        + (c * absf[ix]) / absf[:, None]
-        + (c * absg[ix]) / absg[None, :]
+        (c / absf)[:, None] * ((c + 2.0) / absg)[None, :]
+        + c * (absf[ix] / absf[:, None])
+        + c * (absg[ix] / absg[None, :])
     )
     product = T[ix, i0] * T[i0, ix]
-    return float(np.hypot(product.real - 1.0, product.imag)), float(grid.min())
+    return float(_cnorm(product.real - 1.0, product.imag)), float(grid.min())
 
 
 def random_complex_kernel(rng: np.random.Generator, n: int) -> FiniteKernel:
@@ -98,16 +100,94 @@ def random_mat2_kernel(rng: np.random.Generator, n: int) -> FiniteKernel:
     return FiniteKernel(tuple(f"p{i}" for i in range(n)), "mat2", table)
 
 
-def _identity_mat2_with_large_first_diagonal() -> FiniteKernel:
+def _identity_mat2_with_large_first_diagonal(scale: float) -> FiniteKernel:
     table = np.zeros((3, 3, 2, 2))
     table[..., 0, 0] = table[..., 1, 1] = 1.0
-    table[0, 0] *= 1e60  # the term at (a, a, a) is about 1e120; its squared norms overflow
+    table[0, 0] *= scale  # the term at (a, a, a) is about scale^2
     return FiniteKernel(("a", "b", "c"), "mat2", table)
+
+
+def _full(kind: str, n: int, value: float) -> FiniteKernel:
+    shape = (n, n) if kind == "complex" else (n, n, 2, 2)
+    return FiniteKernel(tuple("ab"[:n]), kind, np.full(shape, value))
+
+
+def ones_mat2_with_large_column(scale: float) -> FiniteKernel:
+    """64 points (enough for the threaded scan), all entries the all-ones
+    matrix, the column F(., p40) scaled by scale: the largest term, about
+    4 scale^2, is F(a, p40) F(p40, p40) - F(a, p40)."""
+    table = np.ones((64, 64, 2, 2))
+    table[:, 40] = scale
+    return FiniteKernel(tuple(f"p{i}" for i in range(64)), "mat2", table)
 
 
 # Kernels with finite entries whose defect terms are not finite in float64.
 OVERFLOWING_KERNELS = {
-    "complex-1e200": FiniteKernel(("a", "b"), "complex", np.full((2, 2), 1e200 + 0j)),
-    "mat2-1e200": FiniteKernel(("a", "b"), "mat2", np.full((2, 2, 2, 2), 1e200)),
-    "mat2-1e60-diagonal": _identity_mat2_with_large_first_diagonal(),
+    "complex-1e200": _full("complex", 2, 1e200),
+    "mat2-1e200": _full("mat2", 2, 1e200),
+    "mat2-1e160-diagonal": _identity_mat2_with_large_first_diagonal(1e160),
 }
+
+# Kernels whose entries and exact defect terms are inside float64 range,
+# although squares of their entries or terms are not.
+IN_RANGE_KERNELS = {
+    "mat2-1e60-diagonal": _identity_mat2_with_large_first_diagonal(1e60),
+    "mat2-1e70-column": ones_mat2_with_large_column(1e70),
+    "mat2-1e77": _full("mat2", 2, 1e77),
+    "mat2-1e78-one-point": _full("mat2", 1, 1e78),
+    "complex-1e-170": _full("complex", 2, 1e-170),
+}
+
+
+# Exact oracle, for tests only: each value's float64 components are taken
+# exactly as mpmath numbers, whose exponent range is unbounded, and every
+# product, difference and norm is evaluated at 60 significant digits (the
+# mat2 closed form then keeps about 30 where its singular values are close).
+
+def _mp_parts(kind: str, value) -> list:
+    return [mpmath.mpf(p.item()) for p in _components(value, kind)]
+
+
+def _mp_mul(kind: str, a: list, b: list) -> list:
+    if kind == "complex":
+        return [a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]]
+    return [a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
+            a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3]]
+
+
+def _mp_norm(kind: str, p: list):
+    if kind == "complex":
+        return mpmath.sqrt(p[0] ** 2 + p[1] ** 2)
+    q = sum(v * v for v in p)
+    det = p[0] * p[3] - p[1] * p[2]
+    return mpmath.sqrt((q + mpmath.sqrt(max(q * q - 4 * det * det, 0))) / 2)
+
+
+def exact_norm(kind: str, a, b=None):
+    """|a - b|, or |a| without b, at 60 digits."""
+    with mpmath.workdps(60):
+        parts = _mp_parts(kind, a)
+        if b is not None:
+            parts = [p - q for p, q in zip(parts, _mp_parts(kind, b))]
+        return _mp_norm(kind, parts)
+
+
+def exact_term(kind: str, ax, xb, ab):
+    """|ax * xb - ab| at 60 digits."""
+    with mpmath.workdps(60):
+        prod = _mp_mul(kind, _mp_parts(kind, ax), _mp_parts(kind, xb))
+        return _mp_norm(kind, [p - q for p, q in zip(prod, _mp_parts(kind, ab))])
+
+
+def exact_defect(kernel: FiniteKernel):
+    """The exact defect, at 60 digits: the largest |F(a,x) F(x,b) - F(a,b)|
+    over the distinct triples of values, so kernels of few distinct values
+    are cheap at any size."""
+    n, kind = kernel.n, kernel.value_kind
+    flat = np.stack(_components(kernel.table, kind), axis=-1).reshape(n * n, -1)
+    _, first, ids = np.unique(flat, axis=0, return_index=True, return_inverse=True)
+    ids = ids.reshape(n, n)
+    triples = np.stack(np.broadcast_arrays(
+        ids[:, :, None], ids[None, :, :], ids[:, None, :]), axis=-1).reshape(-1, 3)
+    values = kernel.table.reshape(n * n, *kernel.table.shape[2:])[first]
+    return max(exact_term(kind, *values[t]) for t in np.unique(triples, axis=0))

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import OVERFLOWING_KERNELS, brute_force_gauge_bound, random_complex_kernel
+from conftest import (
+    IN_RANGE_KERNELS,
+    OVERFLOWING_KERNELS,
+    brute_force_gauge_bound,
+    exact_defect,
+    exact_norm,
+    exact_term,
+    random_complex_kernel,
+)
 from sincov import (
     GeneratorSpec,
     bound_suite,
@@ -18,7 +26,7 @@ from sincov import (
     unit_diag_bound,
 )
 from sincov.analysis import check_tolerance
-from sincov.kernel import FiniteKernel, KernelError, UnknownLabelError, _cmul
+from sincov.kernel import FiniteKernel, KernelError, UnknownLabelError, _cmul, _cnorm
 
 
 def test_slice_residual_exact_kernel():
@@ -265,15 +273,16 @@ def test_check_serialization_fields():
 
 
 def test_check_sides_use_the_declared_norm_bit_for_bit():
-    # np.abs on complex values differs from np.hypot of the components in the
-    # last bit on about a third of values; every check must use the kind's norm
+    # np.abs on complex values and np.hypot of the components each differ from
+    # the declared norm _cnorm in the last bit on many values; every check
+    # must use the kind's norm
     rng = np.random.default_rng(104)
     for k in [0] * 10 + list(range(-50, 51, 10)):
         kernel = random_complex_kernel(rng, int(rng.integers(2, 30)))
         kernel = FiniteKernel(kernel.labels, "complex", kernel.table * 10.0 ** k)
         T, norms, n = kernel.table, kernel.entry_norms(), kernel.n
         d = np.diagonal(T)
-        unit_row = norms.max(axis=1) * np.hypot(d.real - 1.0, d.imag)
+        unit_row = norms.max(axis=1) * _cnorm(d.real - 1.0, d.imag)
         checks = unit_diag_bound(kernel, defect=0.0)
         assert [c.lhs for c in checks[:n]] == unit_row.tolist()
         growth = growth_witness(kernel, kernel.labels[0], defect=0.0)
@@ -281,9 +290,9 @@ def test_check_sides_use_the_declared_norm_bit_for_bit():
         f, g = T[:, 0], T[0, :]
         re, im = _cmul(f.real, f.imag, g.real, g.imag)
         gauges = [gauge_bound(kernel, kernel.labels[0], lab, defect=0.0) for lab in kernel.labels]
-        assert [c.lhs for c in gauges] == np.hypot(re - 1.0, im).tolist()
+        assert [c.lhs for c in gauges] == _cnorm(re - 1.0, im).tolist()
         dev = T - f[:, None] / f[None, :]
-        assert factorize(kernel, kernel.labels[0]).residual == np.hypot(dev.real, dev.imag).max()
+        assert factorize(kernel, kernel.labels[0]).residual == _cnorm(dev.real, dev.imag).max()
 
 
 def _one_point_mat2(value: float) -> FiniteKernel:
@@ -291,25 +300,64 @@ def _one_point_mat2(value: float) -> FiniteKernel:
 
 
 def test_non_finite_check_sides_raise_kernel_error():
-    kernel = OVERFLOWING_KERNELS["mat2-1e60-diagonal"]
+    kernel = OVERFLOWING_KERNELS["mat2-1e160-diagonal"]
     with pytest.raises(KernelError, match="non-finite side in check slice_residual: lhs nan"):
         slice_residual(kernel, "a", defect=1.0)
     with pytest.raises(KernelError, match="non-finite side in check diag_product: lhs nan"):
         diagonal_report(kernel, defect=1.0)
-    huge = _one_point_mat2(1e78)  # its squared norms overflow
+    huge = _one_point_mat2(1e308)  # its norm, 2e308, leaves float64 range
     with pytest.raises(KernelError, match="tolerance must be finite and nonnegative, got inf"):
         bound_suite(huge, "a", defect=0.0)
     with pytest.raises(KernelError, match="non-finite side in check slice_residual"):
         bound_suite(huge, "a", defect=0.0, tol=1e-12)
     with pytest.raises(KernelError, match="check diag_spread: lhs 0.0, rhs inf"):
         diagonal_report(_one_point_mat2(1.0), defect=1e308, tol=0.0)  # 2c overflows
-    tiny = FiniteKernel(("a", "b"), "complex", np.full((2, 2), 1e-170 + 0j))
+    tiny = FiniteKernel(("a", "b"), "complex", np.full((2, 2), 1e-309 + 0j))
     with pytest.raises(KernelError, match=r"check gauge\[a\]: lhs 1.0, rhs inf"):
-        bound_suite(tiny, "a")  # max |f| max |g| underflows to zero
+        bound_suite(tiny, "a")  # the exact bound, about 2/1e-309, leaves float64 range
     # f = F(., a) = (1e-200, 1e200) does not vanish, but f(b)/f(a) overflows
     spread = FiniteKernel(("a", "b"), "complex", np.array([[1e-200, 1e-200], [1e200, 1.0]]))
     with pytest.raises(KernelError, match="non-finite factorization: gauge_error 1.0, residual inf"):
         factorize(spread, "a")
+
+
+def _exact_sides(kernel: FiniteKernel, ref: str, c) -> dict:
+    """The sides of the kind-agnostic checks, and of the gauge checks of a
+    complex kernel, from the exact oracle, with c the exact defect."""
+    n, kind, x0 = kernel.n, kernel.value_kind, kernel.index(ref)
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+
+    def F(i, j):
+        return kernel.table[i, j]
+
+    diag = [exact_norm(kind, F(i, i)) for i in range(n)]
+    sides = {
+        "slice_residual": (max(exact_term(kind, F(a, x0), F(x0, b), F(a, b)) for a, b in pairs), c),
+        "diag_spread": (max(exact_norm(kind, F(i, i), F(j, j)) for i, j in pairs), 2 * c),
+        "diag_product": (max(exact_term(kind, F(i, j), F(j, i), F(i, i)) for i, j in pairs), c),
+        "diag_bound": (max(diag), min(diag) + 2 * c),
+    }
+    if kind == "complex":
+        absf = [exact_norm(kind, F(i, x0)) for i in range(n)]
+        absg = [exact_norm(kind, F(x0, j)) for j in range(n)]
+        fmax, gmax = max(absf), max(absg)
+        for x, lab in enumerate(kernel.labels):
+            lhs = exact_term(kind, F(x, x0), F(x0, x), 1.0 + 0j)
+            rhs = (c * c + 2 * c) / (fmax * gmax) + c * absf[x] / fmax + c * absg[x] / gmax
+            sides[f"gauge[{lab}]"] = (lhs, rhs)
+    return sides
+
+
+@pytest.mark.parametrize("name", sorted(IN_RANGE_KERNELS))
+def test_in_range_check_sides_match_the_exact_oracle(name):
+    # squares of these entries or terms overflow or underflow, the sides do not
+    kernel = IN_RANGE_KERNELS[name]
+    checks = {chk.name: chk for chk in bound_suite(kernel, kernel.labels[0])}
+    assert all(chk.holds for chk in checks.values())
+    for check_name, (lhs, rhs) in _exact_sides(kernel, kernel.labels[0], exact_defect(kernel)).items():
+        got = checks[check_name]
+        assert abs(got.lhs - lhs) <= 1e-15 * lhs, check_name
+        assert abs(got.rhs - rhs) <= 1e-15 * rhs, check_name
 
 
 @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import OVERFLOWING_KERNELS
+from conftest import IN_RANGE_KERNELS, OVERFLOWING_KERNELS
 from sincov import FiniteKernel, save_kernel, sincov_defect
 from sincov.cli import main
 
@@ -209,6 +209,36 @@ def test_non_finite_defect_terms_exit_three(tmp_path, command, name):
     )
     assert proc.returncode == 3
     assert "sincov: error: input: non-finite defect term at (a, a, a)" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("name", sorted(IN_RANGE_KERNELS))
+def test_in_range_kernels_exit_zero(tmp_path, capsys, name):
+    # squares of their entries or terms leave float64 range, their checks do not
+    kernel = IN_RANGE_KERNELS[name]
+    kpath = tmp_path / "k.json"
+    kpath.write_bytes(save_kernel(kernel))
+    code, out, _ = run(["defect", "-i", str(kpath)], capsys)
+    assert code == 0
+    assert json.loads(out)["defect"] == sincov_defect(kernel).defect
+    code, out, _ = run(["check", "-i", str(kpath)], capsys)
+    assert code == 0
+    assert json.loads(out)["all_hold"] is True
+
+
+def test_deeply_nested_document_exits_three(tmp_path):
+    kpath = tmp_path / "k.json"
+    kpath.write_bytes(b"[" * 100_000)
+    proc = subprocess.run(
+        [sys.executable, "-m", "sincov", "defect", "-i", str(kpath)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=60,
+    )
+    assert proc.returncode == 3
+    assert "sincov: error: input: invalid JSON: nesting too deep" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
 

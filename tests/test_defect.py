@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import (
+    IN_RANGE_KERNELS,
     OVERFLOWING_KERNELS,
     brute_force_defect,
+    exact_defect,
+    ones_mat2_with_large_column,
     random_complex_kernel,
     random_mat2_kernel,
 )
@@ -150,11 +153,24 @@ def test_non_finite_defect_terms_raise_kernel_error(name):
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_non_finite_defect_terms_raise_in_every_worker(monkeypatch, threads):
     # 64 points take the threaded path.  Only products F(a, p40) F(p40, p40)
-    # of two large entries overflow, so the first non-finite slab is x = 40.
-    table = np.ones((64, 64, 2, 2))
-    table[:, 40] = 1e70
-    kernel = FiniteKernel(tuple(f"p{i}" for i in range(64)), "mat2", table)
+    # of two large entries leave range (1e320), so the first non-finite slab
+    # is x = 40.
+    kernel = ones_mat2_with_large_column(1e160)
     monkeypatch.setattr("os.cpu_count", lambda: 8)  # 2 workers on any machine
     monkeypatch.setenv("SINCOV_THREADS", threads)
     with pytest.raises(KernelError, match=r"non-finite defect term at \(p0, p40, p40\)"):
         sincov_defect(kernel)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("name", sorted(IN_RANGE_KERNELS))
+def test_in_range_defect_matches_the_exact_oracle(monkeypatch, name, threads):
+    # squares of these entries or terms overflow or underflow, the defect does not
+    kernel = IN_RANGE_KERNELS[name]
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
+    monkeypatch.setenv("SINCOV_THREADS", threads)
+    report = sincov_defect(kernel)
+    exact = exact_defect(kernel)
+    assert abs(report.defect - exact) <= 1e-15 * exact
+    a, x, b = (kernel.index(lab) for lab in report.argmax_triple)
+    assert defect_term(kernel.entry(a, x), kernel.entry(x, b), kernel.entry(a, b)) == report.defect

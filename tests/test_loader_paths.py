@@ -280,3 +280,11 @@ def test_concurrent_loads_leave_the_gc_enabled():
     finally:
         sys.setswitchinterval(interval)
         (gc.enable if was else gc.disable)()
+
+
+def test_deeply_nested_documents_are_format_errors():
+    deep = b"[" * 100_000
+    with pytest.raises(KernelFormatError, match="nesting too deep"):
+        load_kernel(deep)
+    with pytest.raises(VectorError, match="nesting too deep"):
+        load_vectors(deep)
