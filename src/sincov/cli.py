@@ -2,7 +2,8 @@
 
 Reports are JSON, written to the -o path or to standard output; one-line
 human summaries and all errors go to the diagnostic stream.  Exit codes:
-0 success, 1 a check failed, 2 usage error, 3 invalid input.
+0 success, 1 a check failed, 2 usage error, 3 invalid input, 4 an internal
+fault (any other exception, reported as "error: internal: <type>: <message>").
 """
 
 from __future__ import annotations
@@ -176,6 +177,9 @@ def main(argv: list[str] | None = None) -> int:
     except (KernelError, VectorError, OSError) as exc:
         _error("input", str(exc))
         return 3
+    except Exception as exc:  # a fault of the program, not of its input or a bound
+        _error("internal", f"{type(exc).__name__}: {exc}")
+        return 4
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -21,8 +22,8 @@ from .kernel import (
     FiniteKernel,
     KernelFormatError,
     _gc_paused,
+    _parse,
     _reals,
-    _reject_constant,
     _spread,
 )
 
@@ -36,6 +37,7 @@ MIN_NORM = 1e-6
 # Margin checks pass when margin >= -MARGIN_TOL * (1 + rhs).
 MARGIN_TOL = 1e-9
 GRAM_DEFECT_BOUND = 2.0
+GRAM_SIZE = 64
 
 
 class VectorError(ValueError):
@@ -202,16 +204,23 @@ def _draw(rng: np.random.Generator, count: int, dim: int, field: str) -> np.ndar
         M[mask] = fresh(k)
 
 
+def _seeded_rng(dim: int, count: int, field: str, seed: int) -> np.random.Generator:
+    """The generator for `count` seeded vectors of dimension `dim` over `field`."""
+    if dim < 1 or count < 1:
+        raise VectorError("dim and count must be positive")
+    if field not in FIELDS:
+        raise VectorError(f"unknown field {field!r}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise VectorError(f"seed must be an integer >= 0, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def sample_vectors(dim: int, count: int, field: str, seed: int) -> list[IPVector]:
     """Seeded standard-normal vectors; near-zero draws are replaced.
 
     Identical (dim, count, field, seed) always yields the identical list.
     """
-    if dim < 1 or count < 1:
-        raise VectorError("dim and count must be positive")
-    if field not in FIELDS:
-        raise VectorError(f"unknown field {field!r}")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(dim, count, field, seed)
     return [IPVector(field, tuple(row)) for row in _draw(rng, count, dim, field).tolist()]
 
 
@@ -233,21 +242,15 @@ class SweepResult:
         return asdict(self)
 
 
-def margin_sweep(
-    dim: int, count: int, field: str, seed: int, gram_size: int = 64
-) -> SweepResult:
+def margin_sweep(dim: int, count: int, field: str, seed: int) -> SweepResult:
     """Evaluate all three inequalities on `count` seeded random triples.
 
     Reports the minimum margin per inequality and whether every instance
     satisfied margin >= -MARGIN_TOL * (1 + rhs); also builds a normalized
-    Gram kernel from the first sampled family and checks its defect
-    against the bound 2.
+    Gram kernel from the first GRAM_SIZE vectors of the first sampled family
+    and checks its defect against the bound 2.
     """
-    if dim < 1 or count < 1:
-        raise VectorError("dim and count must be positive")
-    if field not in FIELDS:
-        raise VectorError(f"unknown field {field!r}")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(dim, count, field, seed)
     A = _draw(rng, count, dim, field)
     B = _draw(rng, count, dim, field)
     X = _draw(rng, count, dim, field)
@@ -266,7 +269,7 @@ def margin_sweep(
             np.all(margin >= -MARGIN_TOL * (1.0 + rhs))
         )
 
-    g = min(count, gram_size)
+    g = min(count, GRAM_SIZE)
     gram = FiniteKernel(
         tuple(f"v{i}" for i in range(g)), COMPLEX, _gram_table(A[:g])
     )
@@ -303,50 +306,32 @@ def save_vectors(vectors: list[IPVector]) -> bytes:
     return (text + "\n").encode("utf-8")
 
 
-def _vector_errors(rows: list, field: str, dim: int):
-    """The shape errors of a vectors array, row by row."""
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != dim:
-            yield VectorError(f"vectors[{i}]: expected {dim} coordinates")
-        elif field == COMPLEX_FIELD and any(not isinstance(c, list) or len(c) != 2 for c in row):
-            yield VectorError(f"vectors[{i}]: complex coordinates must be [re, im]")
-
-
 @_gc_paused
 def load_vectors(data: bytes) -> list[IPVector]:
-    """Parse and validate a vector document; inverse of save_vectors.  Shapes
-    and reals are read like kernel file reals, by the same helpers."""
+    """Parse and validate a vector document; inverse of save_vectors.  It is
+    read like a kernel document, by the same helpers."""
     try:
-        text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else str(data)
-        doc = json.loads(text, parse_constant=_reject_constant)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise VectorError(f"invalid vector document: {exc}") from None
-    except RecursionError:
-        raise VectorError("invalid vector document: nesting too deep") from None
-    except KernelFormatError as exc:
-        raise VectorError(str(exc)) from None
-    if not isinstance(doc, dict) or set(doc.keys()) != {"field", "dim", "vectors"}:
-        raise VectorError('vector document must have exactly keys "field", "dim", "vectors"')
-    field = doc["field"]
-    if field not in FIELDS:
-        raise VectorError(f"unknown field {field!r}")
-    dim = doc["dim"]
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        raise VectorError(f"dim: must be an integer >= 1, got {dim!r}")
-    rows = doc["vectors"]
-    if not isinstance(rows, list) or not rows:
-        raise VectorError("vectors must be a non-empty array")
-    flat = _spread(rows, dim)
-    if flat is not None and field == COMPLEX_FIELD:
-        flat = _spread(flat, 2)
-    if flat is None:
-        raise next(_vector_errors(rows, field, dim))
-    try:
+        doc = _parse(data)
+        if not isinstance(doc, dict) or set(doc.keys()) != {"field", "dim", "vectors"}:
+            raise VectorError('vector document must have exactly keys "field", "dim", "vectors"')
+        field = doc["field"]
+        if field not in FIELDS:
+            raise VectorError(f"unknown field {field!r}")
+        dim = doc["dim"]
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+            raise VectorError(f"dim: must be an integer >= 1, got {dim!r}")
+        rows = doc["vectors"]
+        if not isinstance(rows, list) or not rows:
+            raise VectorError("vectors must be a non-empty array")
+        level = _spread(rows, dim, f"expected {dim} coordinates", lambda i: f"vectors[{i}]")
         if field == REAL_FIELD:
-            coords = _reals(flat, lambda k: "vectors[%d][%d]" % divmod(k, dim))
+            coords = _reals(level, lambda k: "vectors[%d][%d]" % divmod(k, dim))
         else:
+            level = _spread(
+                level, 2, "complex coordinates must be [re, im]", lambda k: f"vectors[{k // dim}]"
+            )
             coords = _reals(
-                flat, lambda k: "vectors[%d][%d][%d]" % (*divmod(k // 2, dim), k % 2)
+                level, lambda k: "vectors[%d][%d][%d]" % (*divmod(k // 2, dim), k % 2)
             ).view(np.complex128)
     except KernelFormatError as exc:
         raise VectorError(str(exc)) from None

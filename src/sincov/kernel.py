@@ -427,8 +427,11 @@ class GeneratorSpec:
 
     def _positive_int(self, field: str, minimum: int) -> int:
         raw = self._need(field)
-        val = int(raw)
-        if val != raw or val < minimum:
+        try:
+            val = int(raw)
+        except (TypeError, ValueError, OverflowError):  # not a number, NaN or infinite
+            val = None
+        if val is None or val != raw or val < minimum:
             raise KernelError(f"{self.variant}: {field} must be an integer >= {minimum}")
         return val
 
@@ -483,6 +486,10 @@ class GeneratorSpec:
         eps = float(self._need("eps"))
         if not (_finite(eps) and eps >= 0):
             raise KernelError("perturbed_ratio: eps must be a nonnegative finite real")
+        if not _finite(2.0 * eps):  # the width of the range delta is drawn from
+            raise KernelError("perturbed_ratio: 2*eps must be finite")
+        if self.seed is not None:
+            self._positive_int("seed", 0)
 
 
 def _index_labels(count: int) -> tuple[str, ...]:
@@ -534,9 +541,12 @@ def generate(spec: GeneratorSpec) -> FiniteKernel:
 #     "entries": [[ {"re": r, "im": i} | {"m": [[a, b], [c, d]]}, ...], ...] }
 # entries is row-major, entries[i][j] = F(labels[i], labels[j]).  Unknown
 # top-level keys are rejected.  Every real is a finite JSON integer or decimal
-# literal.  The loaders check the shape of every level of nesting with one
-# C-level pass each (_spread), then read every real in storage order with one
-# call to _reals; only on error does a per-entry walk name the first bad one.
+# literal.  Both file formats are read the same way: _parse reads the
+# document, each level of nesting is checked in full with one C-level pass
+# (_spread, _fields), and every real is read in storage order with one call
+# to _reals.  A pass that fails names the first bad item of its level, so a
+# document with several defects is reported at its outermost bad level, in
+# storage order, and a bad shape always before a bad real.
 
 _TOP_KEYS = ("labels", "value_kind", "entries")
 
@@ -572,12 +582,29 @@ def _gc_paused(fn):
     return run
 
 
-def _spread(items: list, width: int) -> list | None:
-    """The elements of the lists in items, in order, if every item is a list
-    of exactly width elements; otherwise None."""
+def _spread(items: list, width: int, message: str, where) -> list:
+    """The elements of the lists in items, in order.  Every item must be a
+    list of exactly width elements; the first item k that is not is reported
+    as a KernelFormatError(message) located by where(k)."""
     if set(map(type, items)) <= {list} and set(map(len, items)) <= {width}:
         return list(chain.from_iterable(items))
-    return None
+    k = next(k for k, item in enumerate(items) if type(item) is not list or len(item) != width)
+    raise KernelFormatError(message, where(k))
+
+
+def _fields(items: list, keys: tuple, message: str, where) -> list:
+    """The values under keys of the objects in items, in order.  Every item
+    must be an object with exactly these keys; the first item k that is not
+    is reported as a KernelFormatError(message) located by where(k)."""
+    get = itemgetter(*keys)
+    if set(map(type, items)) <= {dict} and set(map(len, items)) <= {len(keys)}:
+        try:  # with the right number of keys, the right keys are all there
+            values = map(get, items)
+            return list(values if len(keys) == 1 else chain.from_iterable(values))
+        except KeyError:
+            pass
+    k = next(k for k, item in enumerate(items) if type(item) is not dict or item.keys() != set(keys))
+    raise KernelFormatError(message, where(k))
 
 
 def save_kernel(kernel: FiniteKernel) -> bytes:
@@ -623,66 +650,32 @@ def _reject_constant(token):
     raise KernelFormatError(f"non-finite literal {token!r} not allowed")
 
 
+def _parse(data):
+    """The JSON document in data, UTF-8 bytes or text.  NaN and Infinity are
+    rejected, as is a document nested too deeply for the parser."""
+    try:
+        text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else str(data)
+    except UnicodeDecodeError as exc:
+        raise KernelFormatError(f"not valid UTF-8: {exc}") from None
+    try:
+        return json.loads(text, parse_constant=_reject_constant)
+    except json.JSONDecodeError as exc:
+        raise KernelFormatError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise KernelFormatError("invalid JSON: nesting too deep") from None
+
+
 # kind -> (entry keys, entry form, location suffix of each real in storage order)
 _ENTRY_FORMS = {
-    COMPLEX: ({"re", "im"}, '{"re": ..., "im": ...}', (".re", ".im")),
-    MAT2: ({"m"}, '{"m": [[a, b], [c, d]]}', (".m[0][0]", ".m[0][1]", ".m[1][0]", ".m[1][1]")),
+    COMPLEX: (("re", "im"), '{"re": ..., "im": ...}', (".re", ".im")),
+    MAT2: (("m",), '{"m": [[a, b], [c, d]]}', (".m[0][0]", ".m[0][1]", ".m[1][0]", ".m[1][1]")),
 }
-
-
-def _entry_reals(entries: list, kind: str, n: int) -> list | None:
-    """Every real of an entries array of n rows, in storage order, or None if
-    a row or an entry is malformed."""
-    cells = _spread(entries, n)
-    keys = len(_ENTRY_FORMS[kind][0])
-    if cells is None or set(map(type, cells)) != {dict} or set(map(len, cells)) != {keys}:
-        return None
-    try:  # with the right number of keys, the right keys are all there
-        if kind == COMPLEX:
-            return list(chain.from_iterable(map(itemgetter("re", "im"), cells)))
-        matrices = list(map(itemgetter("m"), cells))
-    except KeyError:
-        return None
-    del cells
-    rows = _spread(matrices, 2)
-    del matrices
-    return None if rows is None else _spread(rows, 2)
-
-
-def _entry_errors(entries: list, kind: str, n: int):
-    """The shape errors of an entries array of n rows, in the order they are
-    reported: every row first, then every entry in storage order."""
-    for i, row in enumerate(entries):
-        if not isinstance(row, list) or len(row) != n:
-            yield KernelFormatError(f"row must have {n} entries", f"entries[{i}]")
-    keys, form, _ = _ENTRY_FORMS[kind]
-    for i, row in enumerate(entries):
-        for j, obj in enumerate(row):
-            if not (isinstance(obj, dict) and obj.keys() == keys):
-                yield KernelFormatError(f"{kind} entry must be {form}", f"entries[{i}][{j}]")
-            elif kind == MAT2 and not (
-                isinstance(m := obj["m"], list) and len(m) == 2
-                and all(isinstance(r, list) and len(r) == 2 for r in m)
-            ):
-                yield KernelFormatError("m must be a 2x2 array", f"entries[{i}][{j}].m")
 
 
 @_gc_paused
 def load_kernel(data: bytes) -> FiniteKernel:
     """Parse and validate a kernel document; inverse of save_kernel."""
-    try:
-        text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else str(data)
-    except UnicodeDecodeError as exc:
-        raise KernelFormatError(f"not valid UTF-8: {exc}") from None
-
-    try:
-        doc = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
-        raise KernelFormatError(f"invalid JSON: {exc}") from None
-    except RecursionError:
-        raise KernelFormatError("invalid JSON: nesting too deep") from None
-    del text
-
+    doc = _parse(data)
     if not isinstance(doc, dict):
         raise KernelFormatError("top level must be an object")
     unknown = set(doc.keys()) - set(_TOP_KEYS)
@@ -706,16 +699,18 @@ def load_kernel(data: bytes) -> FiniteKernel:
     n = len(labels)
     if not isinstance(entries, list) or len(entries) != n:
         raise KernelFormatError(f"entries must have {n} rows", "entries")
-    flat = _entry_reals(entries, kind, n)
-    if flat is None:
-        raise next(_entry_errors(entries, kind, n))
-    del doc, entries  # flat holds every real: free the document before the array is made
-    slots = _ENTRY_FORMS[kind][2]
+    keys, form, slots = _ENTRY_FORMS[kind]
+    cell = lambda k: "entries[%d][%d]" % divmod(k, n)
+    # each level's list replaces the one before, so only two are alive at once
+    level = _spread(entries, n, f"row must have {n} entries", lambda i: f"entries[{i}]")
+    del doc, entries
+    level = _fields(level, keys, f"{kind} entry must be {form}", cell)
+    if kind == MAT2:
+        level = _spread(level, 2, "m must be a 2x2 array", lambda k: cell(k) + ".m")
+        level = _spread(level, 2, "m must be a 2x2 array", lambda k: cell(k // 2) + ".m")
     width = len(slots)
-    reals = _reals(
-        flat, lambda k: "entries[%d][%d]%s" % (*divmod(k // width, n), slots[k % width])
-    )
-    del flat
+    reals = _reals(level, lambda k: cell(k // width) + slots[k % width])
+    del level
     if kind == COMPLEX:
         return FiniteKernel(tuple(labels), kind, reals.view(np.complex128).reshape(n, n))
     return FiniteKernel(tuple(labels), kind, reals.reshape(n, n, 2, 2))

@@ -103,7 +103,8 @@ def test_sweep_subcommand(tmp_path, capsys):
     code, _, err = run(["sweep", "--dim", "2", "--count", "3000", "--seed", "42",
                         "--field", "complex", "-o", out_path], capsys)
     assert code == 0
-    doc = json.loads(open(out_path).read())
+    with open(out_path) as handle:
+        doc = json.load(handle)
     assert doc["margins_hold"] and doc["gram_defect_holds"]
     assert doc["gram_defect"] <= 2.0 + 1e-9
     assert set(doc["min_margins"]) == {"richard", "buzano", "cauchy_schwarz"}
@@ -170,6 +171,18 @@ def test_input_errors_exit_three(tmp_path, capsys):
     assert code == 3
     assert "error: input" in err
 
+    # a seed numpy refuses, or an eps whose range width 2 eps overflows
+    for argv in (
+        ["gen", "--example", "perturbed_ratio", "--samples", "1", "2", "--eps", "0.1",
+         "--seed", "-1"],
+        ["sweep", "--count", "3", "--dim", "2", "--seed", "-1"],
+        ["gen", "--example", "perturbed_ratio", "--samples", "1", "2", "--eps", "1e308"],
+    ):
+        code, out, err = run(argv, capsys)
+        assert code == 3
+        assert "sincov: error: input:" in err
+        assert out == ""
+
     # a tolerance that is not finite would make every check fail or vacuously hold
     run(["gen", "--example", "e1", "--n", "3", "--c", "1", "-o", kpath], capsys)
     for tol in ("nan", "inf"):
@@ -225,6 +238,20 @@ def test_in_range_kernels_exit_zero(tmp_path, capsys, name):
     code, out, _ = run(["check", "-i", str(kpath)], capsys)
     assert code == 0
     assert json.loads(out)["all_hold"] is True
+
+
+def test_internal_fault_exits_four(tmp_path, capsys, monkeypatch):
+    kpath = str(tmp_path / "k.json")
+    run(["gen", "--example", "ratio", "--samples", "1", "2", "-o", kpath], capsys)
+
+    def fault(kernel):
+        raise RuntimeError("simulated fault")
+
+    monkeypatch.setattr("sincov.cli.sincov_defect", fault)
+    code, out, err = run(["defect", "-i", kpath], capsys)
+    assert code == 4
+    assert err == "sincov: error: internal: RuntimeError: simulated fault\n"
+    assert out == ""
 
 
 def test_deeply_nested_document_exits_three(tmp_path):

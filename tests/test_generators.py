@@ -108,6 +108,11 @@ def test_scale_invariance_of_ratio_kernels():
         (dict(variant="mat2_ratio", c0=1.0, samples=(0.0, 1.0)), "positive"),
         (dict(variant="moszner", n=0, size=2), "integer"),
         (dict(variant="perturbed_ratio", samples=(1.0, 2.0), eps=-0.1), "nonnegative"),
+        (dict(variant="perturbed_ratio", samples=(1.0, 2.0), eps=1e308), r"2\*eps"),
+        (dict(variant="perturbed_ratio", samples=(1.0, 2.0), eps=0.1, seed=-1), "seed"),
+        (dict(variant="perturbed_ratio", samples=(1.0, 2.0), eps=0.1, seed=1.5), "seed"),
+        (dict(variant="perturbed_ratio", samples=(1.0, 2.0), eps=0.1, seed="x"), "seed"),
+        (dict(variant="e1", n=float("inf"), c=1.0), "integer"),
         (dict(variant="no_such_variant"), "variant"),
     ],
 )

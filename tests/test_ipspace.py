@@ -159,6 +159,10 @@ def test_sample_vectors_determinism_and_contract():
     assert sample_vectors(3, 5, "real", seed=2) != a
     with pytest.raises(VectorError):
         sample_vectors(0, 5, "real", seed=1)
+    with pytest.raises(VectorError, match="seed"):
+        sample_vectors(3, 5, "real", seed=-1)
+    with pytest.raises(VectorError, match="seed"):
+        sample_vectors(3, 5, "real", seed=1.5)
 
 
 def test_margin_spot_checks_on_sampled_vectors():
@@ -196,6 +200,8 @@ def test_margin_sweep_validation():
         margin_sweep(0, 10, "real", 1)
     with pytest.raises(VectorError):
         margin_sweep(2, 10, "quaternion", 1)
+    with pytest.raises(VectorError, match="seed"):
+        margin_sweep(2, 10, "real", -1)
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])

@@ -1,7 +1,9 @@
-"""The loaders check shapes with whole-level passes and name the first bad
-entry with a per-entry walk.  On documents with one defect both paths must
-agree: the same error type, message and location wherever the defect sits.
-The loaders pause the cyclic garbage collector and restore it after."""
+"""The loaders check each level of nesting in full, in storage order, before
+the next level and before any real, and name the first bad item of the first
+bad level.  A document with one defect is named by the same error type,
+message and location wherever the defect sits; one with several follows that
+level order in both file formats.  The loaders pause the cyclic garbage
+collector and restore it after."""
 
 import copy
 import gc
@@ -13,7 +15,6 @@ import pytest
 
 from sincov import KernelFormatError, load_kernel, load_vectors
 from sincov.ipspace import VectorError
-from sincov.kernel import _entry_errors, _entry_reals
 
 N = 4
 PLACES = {"first": (0, 0), "middle": (1, 2), "last": (N - 1, N - 1)}
@@ -86,12 +87,6 @@ def _bytes(doc) -> bytes:
     return json.dumps(doc).encode("utf-8")
 
 
-def _paths_agree(entries: list, kind: str) -> bool:
-    """The whole-level passes reject exactly the entries the walk finds fault with."""
-    rejected = _entry_reals(entries, kind, N) is None
-    return rejected == (next(_entry_errors(entries, kind, N), None) is not None)
-
-
 def _load_error(load, data: bytes):
     with pytest.raises((KernelFormatError, VectorError)) as info:
         load(data)
@@ -111,7 +106,6 @@ def test_kernel_entry_defect_is_named(kind, defect, message, suffix, place):
     i, j = PLACES[place]
     doc = _kernel_doc(kind)
     doc["entries"][i][j] = copy.deepcopy(defect)
-    assert _paths_agree(doc["entries"], kind)
     error = _load_error(load_kernel, _bytes(doc))
     location = f"entries[{i}][{j}]{suffix}"
     assert type(error) is KernelFormatError
@@ -126,7 +120,6 @@ def test_kernel_row_defect_is_named(kind, defect, place):
     i = PLACES[place][0]
     doc = _kernel_doc(kind)
     doc["entries"][i] = _bad_row(doc["entries"][i], ROW_DEFECTS[defect])
-    assert _paths_agree(doc["entries"], kind)
     error = _load_error(load_kernel, _bytes(doc))
     assert type(error) is KernelFormatError
     assert error.location == f"entries[{i}]"
@@ -136,16 +129,17 @@ def test_kernel_row_defect_is_named(kind, defect, place):
 @pytest.mark.parametrize("kind", ["complex", "mat2"])
 def test_kernel_reals_come_in_storage_order(kind):
     entries = _kernel_doc(kind)["entries"]
+    table = load_kernel(_bytes(_kernel_doc(kind))).table.ravel().tolist()
     if kind == "complex":
         expected = [v for row in entries for e in row for v in (e["re"], e["im"])]
+        table = [v for z in table for v in (z.real, z.imag)]
     else:
         expected = [v for row in entries for e in row for r in e["m"] for v in r]
-    assert _entry_reals(entries, kind, N) == expected
-    assert _paths_agree(entries, kind)
+    assert table == expected
 
 
 @pytest.mark.parametrize("kind", ["complex", "mat2"])
-def test_kernel_errors_come_in_walk_order(kind):
+def test_kernel_errors_come_in_level_order(kind):
     bad = ENTRY_DEFECTS[kind][0][0]
     doc = _kernel_doc(kind)
     doc["entries"][0][1] = bad
@@ -157,6 +151,16 @@ def test_kernel_errors_come_in_walk_order(kind):
     doc["entries"][0][0] = ENTRY_DEFECTS[kind][-1][0]  # a bad real
     doc["entries"][N - 1][N - 1] = bad  # a bad shape is named before any real
     assert _load_error(load_kernel, _bytes(doc)).location == f"entries[{N - 1}][{N - 1}]"
+
+
+def test_mat2_entry_forms_are_named_before_any_m():
+    doc = _kernel_doc("mat2")
+    doc["entries"][0][1] = {"m": [[1.0, 2.0], [3.0]]}
+    doc["entries"][2][0] = {"n": [[1.0, 2.0], [3.0, 4.0]]}
+    error = _load_error(load_kernel, _bytes(doc))
+    assert str(error) == f"entries[2][0]: {MAT2_FORM}"
+    doc["entries"][2][0] = {"m": 1.0}  # an m that is not a pair is named before an m row
+    assert str(_load_error(load_kernel, _bytes(doc))) == f"entries[2][0].m: {M_SHAPE}"
 
 
 # field -> (coordinate that replaces vectors[i][j], message, location suffix
@@ -217,6 +221,15 @@ def test_vector_row_defect_is_named(field, defect, place):
     error = _load_error(load_vectors, _bytes(doc))
     assert type(error) is VectorError
     assert str(error) == f"vectors[{i}]: expected {DIM} coordinates"
+
+
+def test_vector_rows_are_named_before_any_coordinate():
+    doc = _vector_doc("complex")
+    doc["vectors"][0][1] = 1.0
+    doc["vectors"][2] = doc["vectors"][2][:-1]
+    error = _load_error(load_vectors, _bytes(doc))
+    assert type(error) is VectorError
+    assert str(error) == f"vectors[2]: expected {DIM} coordinates"
 
 
 def _documents():
