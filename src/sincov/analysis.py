@@ -23,7 +23,6 @@ infinity, where f vanishes somewhere.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -33,21 +32,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .kernel import _ALGEBRA, COMPLEX, FiniteKernel, KernelError, _cmul, _cnorm, _components
+from .kernel import (
+    _ALGEBRA, COMPLEX, FiniteKernel, KernelError, _cmul, _cnorm, _components, _in_range,
+)
 
 TOL_SCALE = 1e-12
 _PARALLEL_MIN_SIZE = 64
-
-
-def _in_range(fn):
-    """Run fn with numpy's overflow warnings off: out-of-range results are
-    caught by value.  The error state is per thread, so scan workers are
-    wrapped too; a fresh errstate per call keeps nested calls safe."""
-    @functools.wraps(fn)
-    def run(*args, **kwargs):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return fn(*args, **kwargs)
-    return run
 
 
 def thread_limit() -> int:
@@ -450,6 +440,7 @@ def growth_witness(
     )
 
 
+@_in_range
 def gm_factorize(kernel: FiniteKernel) -> Factorization:
     """Geometric-mean factorization for strictly positive real kernels.
 

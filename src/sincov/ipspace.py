@@ -5,26 +5,28 @@ The inner product is conjugate-linear in the second argument,
 over the reals.  Margins report rhs - lhs for three classical inequalities
 on sampled vectors; normalized Gram tables feed the kernel analysis with
 F(u, v) = 2 <u|v> / (|u| |v|).
+
+Range policy, as for kernel norms: vector norms, Gram kernels and margins
+are computed from rows scaled by exact powers of two (_rows), so each is
+finite whenever its exact value is inside float64 range.  Gram entries and
+Cauchy-Schwarz sides have degree 0; norms and Richard and Buzano sides are
+scaled back by one ldexp, and a side that leaves float64 range raises
+VectorError.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
-import math
 import numbers
 from dataclasses import asdict, dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from .analysis import sincov_defect
 from .kernel import (
-    COMPLEX,
-    FiniteKernel,
-    KernelFormatError,
-    _gc_paused,
-    _parse,
-    _reals,
-    _spread,
+    COMPLEX, FiniteKernel, KernelFormatError, _gc_paused, _in_range, _parse, _reals, _spread,
 )
 
 REAL_FIELD = "real"
@@ -56,34 +58,30 @@ class IPVector:
             raise VectorError(f"unknown field {self.field!r}")
         if len(self.coords) == 0:
             raise VectorError("vector needs at least one coordinate")
-        if self.field == REAL_FIELD:
-            vals = []
+        vals = []
+        try:
             for c in self.coords:
-                z = complex(c)
-                if z.imag != 0.0:
-                    raise VectorError("real vector with non-real coordinate")
-                vals.append(float(z.real))
-            if not all(math.isfinite(v) for v in vals):
-                raise VectorError("non-finite coordinate")
-            object.__setattr__(self, "coords", tuple(vals))
-        else:
-            vals = [complex(c) for c in self.coords]
-            if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in vals):
-                raise VectorError("non-finite coordinate")
-            object.__setattr__(self, "coords", tuple(vals))
+                vals.append(complex(c))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise VectorError(f"coordinate {len(vals)}: not a number: {exc}") from None
+        if self.field == REAL_FIELD:
+            if any(map(attrgetter("imag"), vals)):
+                raise VectorError("real vector with non-real coordinate")
+            vals = [z.real for z in vals]
+        if not all(map(cmath.isfinite, vals)):
+            raise VectorError("non-finite coordinate")
+        object.__setattr__(self, "coords", tuple(vals))
 
     @property
     def dim(self) -> int:
         return len(self.coords)
 
     def as_array(self) -> np.ndarray:
-        dtype = np.float64 if self.field == REAL_FIELD else np.complex128
-        return np.asarray(self.coords, dtype=dtype)
+        return np.asarray(self.coords, np.float64 if self.field == REAL_FIELD else np.complex128)
 
     @property
     def norm(self) -> float:
-        a = self.as_array()
-        return float(np.sqrt(_rowwise_inner(a[None, :], a[None, :]).real[0]))
+        return float(_rows(self.as_array()[None])[-1][0])
 
 
 @dataclass(frozen=True)
@@ -104,6 +102,22 @@ def _rowwise_inner(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", U, V.conj())
 
 
+@_in_range
+def _rows(M: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(S, e, sq, r, norm) for the rows M_i of M: S_i = 2^-e_i M_i, scaled by the
+    exact power of two that puts its largest component modulus in [0.5, 1)
+    (e_i = 0 for a zero row), sq_i = <S_i|S_i>, r_i = sqrt(sq_i), and the norm
+    ldexp(r_i, e_i) of M_i, infinite only where the exact norm is.  The scaling
+    is exact wherever no scaled component falls below 2^-1022."""
+    M = np.ascontiguousarray(M)
+    comps = M.view(np.float64).reshape(len(M), -1)
+    _, e = np.frexp(np.abs(comps).max(axis=1, initial=0.0))  # initial: 2x faster on short rows
+    S = np.ldexp(comps, -e[:, None]).view(M.dtype)
+    sq = _rowwise_inner(S, S).real
+    r = np.sqrt(sq)
+    return S, e, sq, r, np.ldexp(r, e)
+
+
 def _check_compatible(*vectors: IPVector) -> None:
     first = vectors[0]
     for v in vectors[1:]:
@@ -113,64 +127,67 @@ def _check_compatible(*vectors: IPVector) -> None:
             raise VectorError(f"dimension mismatch: {first.dim} vs {v.dim}")
 
 
-def _richard_buzano_arrays(A, B, X) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """(lhs, rhs) rows of Richard's and of Buzano's inequality, sharing the
-    norms and inner products."""
-    sx = _rowwise_inner(X, X).real
-    na = np.sqrt(_rowwise_inner(A, A).real)
-    nb = np.sqrt(_rowwise_inner(B, B).real)
-    iax = _rowwise_inner(A, X)
-    ixb = _rowwise_inner(X, B)
+@_in_range
+def _sides(ra, rb, rx) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """{name: (lhs, rhs)} rows of Richard's and Buzano's inequality for the _rows
+    ra, rb, rx of a, b, x and of Cauchy-Schwarz for those of a, b, sharing norms
+    and inner products of the scaled rows.  The Richard and Buzano sides have
+    degree 1 in a and b and 2 in x, and one ldexp scales them back."""
+    (A, ea, _, na, _), (B, eb, _, nb, _), (X, ex, sx, _, _) = ra, rb, rx
+    chain = _rowwise_inner(A, X) * _rowwise_inner(X, B)
     iab = _rowwise_inner(A, B)
-    chain = iax * ixb
-    richard = np.abs(chain - iab * (0.5 * sx)), na * nb * (0.5 * sx)
-    buzano = np.abs(chain), 0.5 * (na * nb + np.abs(iab)) * sx
-    return richard, buzano
+    e = ea + eb + 2 * ex
+    half = 0.5 * sx
+    cs = 2.0 * np.abs(iab) / (na * nb)  # 0/0 for a zero a or b, which callers exclude
+    return {
+        "richard": (np.ldexp(np.abs(chain - iab * half), e), np.ldexp(na * nb * half, e)),
+        "buzano": (np.ldexp(np.abs(chain), e), np.ldexp(0.5 * (na * nb + np.abs(iab)) * sx, e)),
+        "cauchy_schwarz": (cs, np.full_like(cs, 2.0)),
+    }
 
 
-def _cs_arrays(U, V) -> tuple[np.ndarray, np.ndarray]:
-    nu = np.sqrt(_rowwise_inner(U, U).real)
-    nv = np.sqrt(_rowwise_inner(V, V).real)
-    lhs = 2.0 * np.abs(_rowwise_inner(U, V)) / (nu * nv)
-    return lhs, np.full_like(lhs, 2.0)
+def _finite_sides(name: str, lhs: np.ndarray, rhs: np.ndarray) -> None:
+    bad = ~(np.isfinite(lhs) & np.isfinite(rhs))
+    if bad.any():
+        k = int(bad.argmax())
+        raise VectorError(f"non-finite side in {name}: lhs {float(lhs[k])}, "
+                          f"rhs {float(rhs[k])}; a value leaves float64 range")
+
+
+def _margin(name: str, a: IPVector, b: IPVector, x: IPVector) -> InequalityMargin:
+    """The InequalityMargin of inequality `name` at one triple."""
+    _check_compatible(a, b, x)
+    lhs, rhs = _sides(*(_rows(v.as_array()[None]) for v in (a, b, x)))[name]
+    _finite_sides(name, lhs, rhs)
+    return InequalityMargin(name, float(lhs[0]), float(rhs[0]), float(rhs[0] - lhs[0]))
 
 
 def richard_margin(a: IPVector, b: IPVector, x: IPVector) -> InequalityMargin:
     """|<a|x><x|b> - <a|b>|x|^2/2|  vs  |a||b||x|^2/2."""
-    _check_compatible(a, b, x)
-    (lhs, rhs), _ = _richard_buzano_arrays(*(v.as_array()[None] for v in (a, b, x)))
-    return InequalityMargin("richard", float(lhs[0]), float(rhs[0]), float(rhs[0] - lhs[0]))
+    return _margin("richard", a, b, x)
 
 
 def buzano_margin(a: IPVector, b: IPVector, x: IPVector) -> InequalityMargin:
     """|<a|x><x|b>|  vs  [|a||b| + |<a|b>|] |x|^2 / 2."""
-    _check_compatible(a, b, x)
-    _, (lhs, rhs) = _richard_buzano_arrays(*(v.as_array()[None] for v in (a, b, x)))
-    return InequalityMargin("buzano", float(lhs[0]), float(rhs[0]), float(rhs[0] - lhs[0]))
+    return _margin("buzano", a, b, x)
 
 
 def cauchy_schwarz_margin(u: IPVector, v: IPVector) -> InequalityMargin:
     """|2 <u|v> / (|u| |v|)|  vs  2, for nonzero vectors."""
     _check_compatible(u, v)
-    if u.norm == 0.0 or v.norm == 0.0:
+    if not (any(u.coords) and any(v.coords)):
         raise VectorError("cauchy_schwarz_margin: zero vector")
-    lhs, rhs = _cs_arrays(u.as_array()[None], v.as_array()[None])
-    return InequalityMargin(
-        "cauchy_schwarz", float(lhs[0]), float(rhs[0]), float(rhs[0] - lhs[0])
-    )
+    return _margin("cauchy_schwarz", u, v, u)  # x does not enter this inequality
 
 
-def _gram_table(V: np.ndarray) -> np.ndarray:
-    """Normalized Gram table 2 G_ij / sqrt(G_ii G_jj) with G = V conj(V)^T.
-
-    The denominator uses sqrt of the product of the diagonal entries, so the
-    diagonal of the result is exactly 2 for real inputs.
-    """
-    G = V @ V.conj().T
+def _gram_kernel(S: np.ndarray) -> FiniteKernel:
+    """The normalized Gram kernel 2 G_ij / sqrt(G_ii G_jj) of the rows of S, with
+    G = S conj(S)^T: a power-of-two scale of any row cancels in the quotient
+    (S are the scaled rows of _rows), and the diagonal is exactly 2 for real S."""
+    G = S @ S.conj().T
     s = np.real(np.diag(G)).copy()
-    if float(np.sqrt(s.min())) <= MIN_NORM:
-        raise VectorError(f"normalized_gram: vector norm below {MIN_NORM:g}")
-    return np.asarray((2.0 * G) / np.sqrt(np.multiply.outer(s, s)), dtype=np.complex128)
+    table = np.asarray((2.0 * G) / np.sqrt(np.multiply.outer(s, s)), dtype=np.complex128)
+    return FiniteKernel(tuple(f"v{i}" for i in range(len(S))), COMPLEX, table)
 
 
 def normalized_gram(vectors: list[IPVector]) -> FiniteKernel:
@@ -182,13 +199,15 @@ def normalized_gram(vectors: list[IPVector]) -> FiniteKernel:
     if not vectors:
         raise VectorError("normalized_gram: needs at least one vector")
     _check_compatible(*vectors)
-    V = np.stack([v.as_array() for v in vectors])
-    table = _gram_table(V)
-    labels = tuple(f"v{i}" for i in range(len(vectors)))
-    return FiniteKernel(labels, COMPLEX, table)
+    S, *_, norms = _rows(np.stack([v.as_array() for v in vectors]))
+    if float(norms.min()) <= MIN_NORM:  # the norms before scaling
+        raise VectorError(f"normalized_gram: vector norm below {MIN_NORM:g}")
+    return _gram_kernel(S)
 
 
-def _draw(rng: np.random.Generator, count: int, dim: int, field: str) -> np.ndarray:
+def _draw(rng: np.random.Generator, count: int, dim: int, field: str) -> tuple:
+    """(M, _rows(M)) for `count` seeded standard-normal rows M; rows of norm
+    below MIN_NORM are drawn again."""
     def fresh(k: int) -> np.ndarray:
         if field == REAL_FIELD:
             return rng.standard_normal((k, dim))
@@ -196,12 +215,11 @@ def _draw(rng: np.random.Generator, count: int, dim: int, field: str) -> np.ndar
 
     M = fresh(count)
     while True:
-        norms = np.sqrt(_rowwise_inner(M, M).real)
-        mask = norms < MIN_NORM
-        k = int(mask.sum())
-        if k == 0:
-            return M
-        M[mask] = fresh(k)
+        rows = _rows(M)
+        mask = rows[-1] < MIN_NORM
+        if not mask.any():
+            return M, rows
+        M[mask] = fresh(int(mask.sum()))
 
 
 def _seeded_rng(dim: int, count: int, field: str, seed: int) -> np.random.Generator:
@@ -221,7 +239,7 @@ def sample_vectors(dim: int, count: int, field: str, seed: int) -> list[IPVector
     Identical (dim, count, field, seed) always yields the identical list.
     """
     rng = _seeded_rng(dim, count, field, seed)
-    return [IPVector(field, tuple(row)) for row in _draw(rng, count, dim, field).tolist()]
+    return [IPVector(field, tuple(row)) for row in _draw(rng, count, dim, field)[0].tolist()]
 
 
 @dataclass(frozen=True)
@@ -251,38 +269,20 @@ def margin_sweep(dim: int, count: int, field: str, seed: int) -> SweepResult:
     and checks its defect against the bound 2.
     """
     rng = _seeded_rng(dim, count, field, seed)
-    A = _draw(rng, count, dim, field)
-    B = _draw(rng, count, dim, field)
-    X = _draw(rng, count, dim, field)
-
-    richard, buzano = _richard_buzano_arrays(A, B, X)
+    ra, rb, rx = (_draw(rng, count, dim, field)[1] for _ in range(3))
     min_margins: dict[str, float] = {}
     margins_hold = True
-    for name, (lhs, rhs) in (
-        ("richard", richard),
-        ("buzano", buzano),
-        ("cauchy_schwarz", _cs_arrays(A, B)),
-    ):
+    for name, (lhs, rhs) in _sides(ra, rb, rx).items():
+        _finite_sides(name, lhs, rhs)
         margin = rhs - lhs
         min_margins[name] = float(margin.min())
-        margins_hold = margins_hold and bool(
-            np.all(margin >= -MARGIN_TOL * (1.0 + rhs))
-        )
+        margins_hold = margins_hold and bool(np.all(margin >= -MARGIN_TOL * (1.0 + rhs)))
 
     g = min(count, GRAM_SIZE)
-    gram = FiniteKernel(
-        tuple(f"v{i}" for i in range(g)), COMPLEX, _gram_table(A[:g])
-    )
-    gram_defect = sincov_defect(gram).defect
+    gram_defect = sincov_defect(_gram_kernel(ra[0][:g])).defect  # the first g scaled rows
     return SweepResult(
-        field=field,
-        dim=dim,
-        count=count,
-        seed=seed,
-        min_margins=min_margins,
-        margins_hold=margins_hold,
-        gram_size=g,
-        gram_defect=gram_defect,
+        field=field, dim=dim, count=count, seed=seed, min_margins=min_margins,
+        margins_hold=margins_hold, gram_size=g, gram_defect=gram_defect,
         gram_defect_holds=gram_defect <= GRAM_DEFECT_BOUND + MARGIN_TOL,
     )
 
@@ -297,10 +297,8 @@ def save_vectors(vectors: list[IPVector]) -> bytes:
         raise VectorError("save_vectors: needs at least one vector")
     _check_compatible(*vectors)
     field, dim = vectors[0].field, vectors[0].dim
-    if field == REAL_FIELD:
-        rows = [[float(c) for c in v.coords] for v in vectors]
-    else:
-        rows = [[[c.real, c.imag] for c in v.coords] for v in vectors]
+    M = np.stack([v.as_array() for v in vectors])
+    rows = (M if field == REAL_FIELD else M.view(np.float64).reshape(*M.shape, 2)).tolist()
     doc = {"field": field, "dim": dim, "vectors": rows}
     text = json.dumps(doc, ensure_ascii=False, allow_nan=False, separators=(",", ":"))
     return (text + "\n").encode("utf-8")

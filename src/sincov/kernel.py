@@ -78,6 +78,17 @@ def _cmul(ar, ai, br, bi, out=_UNBUFFERED):
     return re, im
 
 
+def _in_range(fn):
+    """Run fn with numpy's overflow warnings off: out-of-range results are
+    caught by value.  The error state is per thread, so scan workers are
+    wrapped too; a fresh errstate per call keeps nested calls safe."""
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return fn(*args, **kwargs)
+    return run
+
+
 # Both norms are closed forms in squares of the components, which overflow
 # or lose bits to underflow long before the norm itself leaves float64
 # range.  _range_guarded keeps the fast form where its result r lies in a
@@ -103,14 +114,14 @@ def _range_guarded(lo: float, hi: float):
 
     def guard(formula):
         @functools.wraps(formula)
+        @_in_range
         def norm(*parts, out=_UNBUFFERED):
-            with np.errstate(over="ignore", invalid="ignore"):
-                r = np.asarray(formula(*parts, out=out))
-                if not (r.min() >= lo and r.max() <= hi):  # false on NaN
-                    outside = ~((r >= lo) & (r <= hi))
-                    comps = np.array([np.broadcast_to(p, r.shape)[outside] for p in parts])
-                    _, e = np.frexp(np.abs(comps).max(axis=0))
-                    r[outside] = np.ldexp(formula(*np.ldexp(comps, -e)), e)
+            r = np.asarray(formula(*parts, out=out))
+            if not (r.min() >= lo and r.max() <= hi):  # false on NaN
+                outside = ~((r >= lo) & (r <= hi))
+                comps = np.array([np.broadcast_to(p, r.shape)[outside] for p in parts])
+                _, e = np.frexp(np.abs(comps).max(axis=0))
+                r[outside] = np.ldexp(formula(*np.ldexp(comps, -e)), e)
             return r
 
         return norm
@@ -257,11 +268,10 @@ class AlgebraValue:
     def __sub__(self, other: "AlgebraValue") -> "AlgebraValue":
         return self._of_parts([a - b for a, b in self._pairs(other)])
 
+    @_in_range  # silent, like Python floats
     def __mul__(self, other: "AlgebraValue") -> "AlgebraValue":
         self._same_kind(other)
-        with np.errstate(over="ignore", invalid="ignore"):  # silent, like Python floats
-            parts = _ALGEBRA[self.kind][0](*self._parts(), *other._parts())
-        return self._of_parts(parts)
+        return self._of_parts(_ALGEBRA[self.kind][0](*self._parts(), *other._parts()))
 
     def scale(self, factor: float) -> "AlgebraValue":
         lam = float(factor)

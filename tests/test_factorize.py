@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,15 @@ def test_gm_rejects_non_positive_and_non_real():
         gm_factorize(complex_kernel)
     with pytest.raises(KernelError, match="complex"):
         gm_factorize(generate(GeneratorSpec("mat2_ratio", c0=1.0, samples=(1.0, 2.0))))
+
+
+def test_gm_on_underflowing_kernel_raises_without_a_warning():
+    # f = 1e-320 has no finite reciprocal; 1.0 / f used to warn before the error
+    kernel = FiniteKernel(("a", "b"), "complex", np.full((2, 2), 1e-320 + 0j))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(KernelError, match="non-finite factorization"):
+            gm_factorize(kernel)
 
 
 def test_gauge_error_is_the_largest_gauge_check_lhs():

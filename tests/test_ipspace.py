@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sincov import (
     IPVector,
@@ -86,6 +88,9 @@ def test_vector_validation():
         IPVector("real", (float("nan"),))
     with pytest.raises(VectorError, match="field"):
         IPVector("rational", (1.0,))
+    for coords in (((1, 2),), (1.0, "x"), (10**400,)):  # TypeError, ValueError, OverflowError
+        with pytest.raises(VectorError, match=f"coordinate {len(coords) - 1}: not a number"):
+            IPVector("real", coords)
     assert IPVector("complex", (1.0 + 2.0j, 3.0)).dim == 2
 
 
@@ -145,8 +150,119 @@ def test_normalized_gram_rejects_bad_input():
         normalized_gram([])
     with pytest.raises(VectorError, match="norm"):
         normalized_gram([E1, IPVector("real", (1e-9, 0.0))])
+    with pytest.raises(VectorError, match="norm"):  # rows are scaled, the test is not
+        normalized_gram([E1, IPVector("real", (1e-300, 0.0))])
     with pytest.raises(VectorError, match="dimension"):
         normalized_gram([E1, IPVector("real", (1.0,))])
+
+
+@pytest.mark.parametrize("s", [1e100, 1e160])
+def test_normalized_gram_of_vectors_far_from_one(s):
+    # squares of 1e100 underflowed the normalization to an all-zero kernel,
+    # and those of 1e160 overflowed it to a non-finite one
+    kernel = normalized_gram([IPVector("real", (s, 0.0)), IPVector("real", (s, s))])
+    r2 = math.sqrt(2.0)
+    np.testing.assert_allclose(kernel.table, [[2.0, r2], [r2, 2.0]], rtol=1e-15)
+    assert sincov_defect(kernel).defect == pytest.approx(2.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("s", [1e155, 1e-160, 1e-165])
+def test_cauchy_schwarz_margin_far_from_one(s):
+    # gave lhs nan at 1e155, an inexact lhs at 1e-160 and "zero vector" at 1e-165
+    want = cauchy_schwarz_margin(IPVector("real", (1.0, 0.3)), IPVector("real", (1.0, 1.0)))
+    m = cauchy_schwarz_margin(IPVector("real", (s, 0.3 * s)), IPVector("real", (s, s)))
+    assert m.lhs == pytest.approx(want.lhs, rel=1e-15)
+    assert m.rhs == 2.0
+
+
+def test_richard_and_buzano_sides_far_from_one():
+    # <a|b> = 1e400 and |x|^2 = 5e-300 leave float64 range, the sides do not:
+    # they were inf, inf, with a nan margin
+    a, b = IPVector("real", (1e200, 0.0)), IPVector("real", (1e200, 1e200))
+    x = IPVector("real", (1e-150, 2e-150))
+    m = richard_margin(a, b, x)
+    assert m.lhs == pytest.approx(5e99, rel=1e-14)
+    assert m.rhs == pytest.approx(2.5e100 * math.sqrt(2.0), rel=1e-14)
+    m = buzano_margin(a, b, x)
+    assert m.lhs == pytest.approx(3e100, rel=1e-14)
+    assert m.rhs == pytest.approx(2.5e100 * (1.0 + math.sqrt(2.0)), rel=1e-14)
+    # exact sides near 5e619 and 3.5e620: no float64 can hold them
+    with pytest.raises(VectorError, match="richard.*float64 range"):
+        richard_margin(IPVector("real", (1e300, 0.0)), IPVector("real", (1e300, 1e300)),
+                       IPVector("real", (1e10, 2e10)))
+
+
+def test_vector_norm_far_from_one():
+    assert IPVector("real", (1e160, 0.0)).norm == 1e160  # was inf
+    assert IPVector("complex", (3e300 + 4e300j,)).norm == pytest.approx(5e300, rel=1e-15)
+    assert IPVector("real", (3e-320, 4e-320)).norm == 5e-320
+    assert math.isinf(IPVector("real", (1.7e308, 1.7e308)).norm)  # the exact norm is too
+
+
+# zero, or a modulus in [2^-20, 2^20): scaled by 2^k with |k| <= 1000 every
+# component stays a normal float
+COMPONENTS = st.just(0.0) | st.builds(
+    lambda sign, m, e: sign * math.ldexp(m, e),
+    st.sampled_from((-1.0, 1.0)),
+    st.floats(1.0, 2.0, exclude_max=True),
+    st.integers(-20, 19),
+)
+
+
+def _vector(field: str, comps: list[float]) -> IPVector:
+    if field == "real":
+        return IPVector(field, tuple(comps[0::2]))
+    return IPVector(field, tuple(complex(re, im) for re, im in zip(comps[0::2], comps[1::2])))
+
+
+def _ldexp(x: float, k: int) -> float:
+    """x * 2^k rounded once; inf where that overflows."""
+    try:
+        return math.ldexp(x, k)
+    except OverflowError:
+        return math.inf
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(("real", "complex")),
+    st.integers(1, 4).flatmap(
+        lambda d: st.lists(st.lists(COMPONENTS, min_size=2 * d, max_size=2 * d),
+                           min_size=3, max_size=3)
+    ),
+    st.integers(0, 2),
+    st.integers(-1000, 1000),
+)
+def test_vector_quantities_scale_by_powers_of_two_bit_for_bit(field, comps, which, k):
+    base = [_vector(field, c) for c in comps]
+    scaled = list(base)
+    scaled[which] = _vector(field, [math.ldexp(c, k) for c in comps[which]])
+
+    assert scaled[which].norm == _ldexp(base[which].norm, k)
+
+    tables = set()
+    for vectors in (base, scaled):
+        if min(v.norm for v in vectors) <= 1e-6:
+            with pytest.raises(VectorError, match="norm below"):
+                normalized_gram(vectors)
+        else:
+            tables.add(normalized_gram(vectors).table.tobytes())
+    assert len(tables) <= 1
+
+    if any(base[0].coords) and any(base[1].coords):
+        want = cauchy_schwarz_margin(base[0], base[1])
+        assert cauchy_schwarz_margin(scaled[0], scaled[1]) == want
+
+    shift = 2 * k if which == 2 else k  # degree 1 in a and b, 2 in x
+    for margin in (richard_margin, buzano_margin):
+        m = margin(*base)
+        lhs, rhs = _ldexp(m.lhs, shift), _ldexp(m.rhs, shift)
+        if math.isinf(lhs) or math.isinf(rhs):
+            with pytest.raises(VectorError, match="float64 range"):
+                margin(*scaled)
+        else:
+            got = margin(*scaled)
+            assert (got.lhs, got.rhs) == (lhs, rhs)
 
 
 def test_sample_vectors_determinism_and_contract():
