@@ -5,6 +5,15 @@ The central quantity is the composition defect of a kernel: the maximum of
 this module compares a derived quantity against that defect (or an explicit
 constant) and reports the two sides plus a witness.
 
+Each family of checks (slice, diagonal, unit-diagonal, growth, gauge) is one
+sides function (kernel, i0, c) -> (names, lhs, rhs, witnesses) of whole
+arrays, with i0 the index of the reference label.  One runner, _run_checks,
+builds the checks of any list of families: it alone resolves the tolerance,
+the reference label and the defect c.  A given tolerance or defect must be
+finite and nonnegative, else KernelError; when none is given, the tolerance
+is check_tolerance's default and c comes from a defect pass, which runs
+after every input has been checked.
+
 Triple enumeration runs one x-slab at a time as vectorized array work; the
 SINCOV_THREADS environment variable caps how many slabs are processed
 concurrently (0 = auto).  The max reduction breaks ties toward the
@@ -23,6 +32,7 @@ infinity, where f vanishes somewhere.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -112,8 +122,7 @@ class BoundCheck:
         return {**vars(self), "witness": list(self.witness)}  # asdict's deep copy is 10x slower
 
 
-@_in_range
-def _checks(names, lhs, rhs, tolv: float, witnesses) -> list[BoundCheck]:
+def _checks(names, lhs, rhs, witnesses, tolv: float) -> list[BoundCheck]:
     """The checks names[k]: lhs[k] <= rhs[k] + tolv, from whole-array sides; a
     scalar side is shared by every check.  A side that is not finite means the
     kernel values left float64 range and raises KernelError."""
@@ -127,10 +136,6 @@ def _checks(names, lhs, rhs, tolv: float, witnesses) -> list[BoundCheck]:
         )
     holds = (lhs <= rhs + tolv).tolist()
     return [BoundCheck(*c) for c in zip(names, lhs.tolist(), rhs.tolist(), holds, witnesses)]
-
-
-def _label_checks(family: str, labels, lhs, rhs, tolv: float, witnesses) -> list[BoundCheck]:
-    return _checks([f"{family}[{lab}]" for lab in labels], lhs, rhs, tolv, witnesses)
 
 
 def _slab_function(kernel: FiniteKernel):
@@ -210,36 +215,49 @@ def sincov_defect(kernel: FiniteKernel) -> DefectReport:
 
 def is_exact(kernel: FiniteKernel, tol: float) -> bool:
     """Whether the kernel composes exactly, up to tol."""
-    if tol < 0:
-        raise KernelError("tol must be nonnegative")
+    tol = check_tolerance(kernel, tol)
     return sincov_defect(kernel).defect <= tol
 
 
 def _resolve_defect(kernel: FiniteKernel, defect: float | None) -> float:
-    return sincov_defect(kernel).defect if defect is None else float(defect)
+    """A given defect, finite and nonnegative, or the kernel's from a defect pass."""
+    if defect is None:
+        return sincov_defect(kernel).defect
+    if not (math.isfinite(defect) and defect >= 0):
+        raise KernelError(f"defect must be finite and nonnegative, got {float(defect)!r}")
+    return float(defect)
 
 
 @_in_range
+def _run_checks(kernel, families, ref=None, *, defect=None, tol=None, at=None) -> list[BoundCheck]:
+    """Each family's checks in turn, against one tolerance and one defect c.
+    A family is a sides function (kernel, i0, c) -> (names, lhs, rhs,
+    witnesses), i0 the index of ref; at keeps only the check of that label.
+    The inputs are checked cheapest first (tolerance, labels, a given
+    defect), so the defect pass for a missing defect runs last."""
+    tolv = check_tolerance(kernel, tol)
+    i0 = None if ref is None else kernel.index(ref)
+    ix = None if at is None else kernel.index(at)
+    c = _resolve_defect(kernel, defect)
+    checks = [check for sides in families for check in _checks(*sides(kernel, i0, c), tolv)]
+    return checks if ix is None else [checks[ix]]
+
+
+def _slice_sides(kernel: FiniteKernel, i0: int, c: float):
+    D = _slab_function(kernel)(i0, _slab_buffers(kernel.n))
+    a, b = divmod(int(D.argmax()), kernel.n)
+    return ["slice_residual"], D[a, b], c, [(kernel.labels[a], kernel.labels[b])]
+
+
 def slice_residual(
-    kernel: FiniteKernel,
-    x0: str,
-    *,
-    defect: float | None = None,
-    tol: float | None = None,
+    kernel: FiniteKernel, x0: str, *, defect: float | None = None, tol: float | None = None
 ) -> BoundCheck:
     """The x = x0 slice of the defect: max |F(a, b) - F(a, x0) F(x0, b)|.
 
     Always bounded by the full defect, since every slice term is one of the
     enumerated triples.
     """
-    i0 = kernel.index(x0)
-    D = _slab_function(kernel)(i0, _slab_buffers(kernel.n))
-    flat = int(D.argmax())
-    a, b = divmod(flat, kernel.n)
-    rhs = _resolve_defect(kernel, defect)
-    tolv = check_tolerance(kernel, tol)
-    witness = (kernel.labels[a], kernel.labels[b])
-    return _checks(["slice_residual"], D.flat[flat], rhs, tolv, [witness])[0]
+    return _run_checks(kernel, [_slice_sides], x0, defect=defect, tol=tol)[0]
 
 
 def _require_complex(kernel: FiniteKernel, operation: str) -> None:
@@ -290,30 +308,26 @@ def _factorization(kernel: FiniteKernel, reference, f_vec, g_vec) -> Factorizati
     )
 
 
-@_in_range
-def _gauge_sides(kernel: FiniteKernel, i0: int, c: float) -> tuple[np.ndarray, np.ndarray]:
+def _gauge_sides(kernel: FiniteKernel, i0: int, c: float, *, skip_vanishing: bool = False):
     """|g(x) f(x) - 1| and its defect-driven bound (see gauge_error_bound)
-    for every x at once, with f = F(., x0) and g = F(x0, .)."""
-    if c < 0:
-        raise KernelError("c must be nonnegative")
+    for every x at once, with f = F(., x0) and g = F(x0, .).  Slices that
+    vanish somewhere raise KernelError, or give no checks with skip_vanishing."""
     f, g = kernel.table[:, i0], kernel.table[i0, :]
+    if not (f.all() and g.all()):
+        if skip_vanishing:
+            return [], [], [], []
+        raise KernelError("gauge_error_bound: slice maps must not vanish")
     norms = kernel.entry_norms()
     absf, absg = norms[:, i0], norms[i0, :]
-    if float(absf.min()) == 0.0 or float(absg.min()) == 0.0:
-        raise KernelError("gauge_error_bound: slice maps must not vanish")
     fmax, gmax = absf.max(), absg.max()
     # each product of c with a modulus is taken after a quotient: fmax * gmax
     # underflows, and c * |f(x)| overflows, on kernels whose bound is in range
     rhs = (c / fmax) * ((c + 2.0) / gmax) + c * (absf / fmax) + c * (absg / gmax)
-    return _gauge_deviation(f, g), rhs
+    names = [f"gauge[{lab}]" for lab in kernel.labels]
+    return names, _gauge_deviation(f, g), rhs, [(lab,) for lab in kernel.labels]
 
 
-def _gauge_checks(kernel: FiniteKernel, i0: int, c: float, tolv: float) -> list[BoundCheck]:
-    labels = kernel.labels
-    lhs, rhs = _gauge_sides(kernel, i0, c)
-    return _label_checks("gauge", labels, lhs, rhs, tolv, [(lab,) for lab in labels])
-
-
+@_in_range
 def gauge_error_bound(kernel: FiniteKernel, x0: str, x: str, c: float) -> float:
     """Smallest over (a, b) of the defect-driven bound on |g(x) f(x) - 1|:
 
@@ -330,30 +344,37 @@ def gauge_error_bound(kernel: FiniteKernel, x0: str, x: str, c: float) -> float:
     """
     _require_complex(kernel, "gauge_error_bound")
     i0, ix = kernel.index(x0), kernel.index(x)
-    return float(_gauge_sides(kernel, i0, c)[1][ix])
+    return float(_gauge_sides(kernel, i0, _resolve_defect(kernel, c))[2][ix])
 
 
 def gauge_bound(
-    kernel: FiniteKernel,
-    x0: str,
-    x: str,
-    *,
-    defect: float | None = None,
-    tol: float | None = None,
+    kernel: FiniteKernel, x0: str, x: str, *, defect: float | None = None, tol: float | None = None
 ) -> BoundCheck:
     """Check |g(x) f(x) - 1| against its defect-driven bound at (x0, x)."""
     _require_complex(kernel, "gauge_bound")
-    i0, ix = kernel.index(x0), kernel.index(x)
-    c = _resolve_defect(kernel, defect)
-    return _gauge_checks(kernel, i0, c, check_tolerance(kernel, tol))[ix]
+    return _run_checks(kernel, [_gauge_sides], x0, defect=defect, tol=tol, at=x)[0]
 
 
-@_in_range
+def _diagonal_sides(kernel: FiniteKernel, i0, c: float):
+    labels = kernel.labels
+    mul, norm = _ALGEBRA[kernel.value_kind]
+    parts = _components(kernel.table, kernel.value_kind)
+    diag = tuple(np.diagonal(p) for p in parts)
+    spread = norm(*(d[:, None] - d[None, :] for d in diag))
+    products = mul(*parts, *(p.T for p in parts))
+    product = norm(*(q - d[:, None] for q, d in zip(products, diag)))
+    diag_norm = norm(*diag)
+    (i, j), (k, m) = (divmod(int(grid.argmax()), kernel.n) for grid in (spread, product))
+    return (
+        ["diag_spread", "diag_product", "diag_bound"],
+        [spread[i, j], product[k, m], diag_norm.max()],
+        [2.0 * c, c, diag_norm.min() + 2.0 * c],
+        [(labels[i], labels[j]), (labels[k], labels[m]), (labels[int(diag_norm.argmax())],)],
+    )
+
+
 def diagonal_report(
-    kernel: FiniteKernel,
-    *,
-    defect: float | None = None,
-    tol: float | None = None,
+    kernel: FiniteKernel, *, defect: float | None = None, tol: float | None = None
 ) -> list[BoundCheck]:
     """Three diagonal consequences of the defect bound, any value kind:
 
@@ -365,79 +386,46 @@ def diagonal_report(
     triangle inequality when values commute; for mat2 kernels they are
     computed and reported all the same.
     """
-    c = _resolve_defect(kernel, defect)
-    tolv = check_tolerance(kernel, tol)
+    return _run_checks(kernel, [_diagonal_sides], defect=defect, tol=tol)
+
+
+def _unit_diag_sides(kernel: FiniteKernel, i0, c: float):
     labels = kernel.labels
-    mul, norm = _ALGEBRA[kernel.value_kind]
-    parts = _components(kernel.table, kernel.value_kind)
-    diag = tuple(np.diagonal(p) for p in parts)
-    spread = norm(*(d[:, None] - d[None, :] for d in diag))
-    products = mul(*parts, *(p.T for p in parts))
-    product = norm(*(q - d[:, None] for q, d in zip(products, diag)))
-    diag_norm = norm(*diag)
-
-    def pair_argmax(grid: np.ndarray) -> tuple[float, tuple[str, str]]:
-        i, j = divmod(int(grid.argmax()), kernel.n)
-        return grid[i, j], (labels[i], labels[j])
-
-    (spread_lhs, spread_wit), (prod_lhs, prod_wit) = map(pair_argmax, (spread, product))
-    return _checks(
-        ["diag_spread", "diag_product", "diag_bound"],
-        [spread_lhs, prod_lhs, diag_norm.max()],
-        [2.0 * c, c, diag_norm.min() + 2.0 * c],
-        tolv,
-        [spread_wit, prod_wit, (labels[int(diag_norm.argmax())],)],
-    )
+    absT = kernel.entry_norms()
+    diag = np.diagonal(kernel.table)
+    dev = _cnorm(diag.real - 1.0, diag.imag)
+    rows, cols = absT.argmax(axis=1).tolist(), absT.argmax(axis=0).tolist()
+    names = [f"unit_diag_{side}[{lab}]" for side in ("row", "col") for lab in labels]
+    witnesses = [(lab, labels[j]) for lab, j in zip(labels, rows)]
+    witnesses += [(labels[i], lab) for lab, i in zip(labels, cols)]
+    return names, np.concatenate([absT.max(axis=1) * dev, absT.max(axis=0) * dev]), c, witnesses
 
 
-@_in_range
 def unit_diag_bound(
-    kernel: FiniteKernel,
-    *,
-    defect: float | None = None,
-    tol: float | None = None,
+    kernel: FiniteKernel, *, defect: float | None = None, tol: float | None = None
 ) -> list[BoundCheck]:
     """Per reference point x0: a slice can only be large if F(x0, x0) is
     close to one, i.e. max |F(x0, b)| * |F(x0, x0) - 1| <= c, and the same
     for the column slice F(., x0)."""
     _require_complex(kernel, "unit_diag_bound")
-    c = _resolve_defect(kernel, defect)
-    tolv = check_tolerance(kernel, tol)
-    labels = kernel.labels
+    return _run_checks(kernel, [_unit_diag_sides], defect=defect, tol=tol)
+
+
+def _growth_sides(kernel: FiniteKernel, j0: int, c: float):
     absT = kernel.entry_norms()
-    diag = np.diagonal(kernel.table)
-    dev = _cnorm(diag.real - 1.0, diag.imag)
-    row_arg, col_arg = absT.argmax(axis=1).tolist(), absT.argmax(axis=0).tolist()
-    return _label_checks(
-        "unit_diag_row", labels, absT.max(axis=1) * dev, c, tolv,
-        [(lab, labels[j]) for lab, j in zip(labels, row_arg)],
-    ) + _label_checks(
-        "unit_diag_col", labels, absT.max(axis=0) * dev, c, tolv,
-        [(labels[i], lab) for lab, i in zip(labels, col_arg)],
-    )
+    col0 = absT[:, j0]
+    a_star = kernel.labels[int(col0.argmax())]
+    names = [f"growth[{lab}]" for lab in kernel.labels]
+    return names, float(col0.max()) - c, col0 * absT.max(axis=0), [(a_star,)] * kernel.n
 
 
-@_in_range
 def growth_witness(
-    kernel: FiniteKernel,
-    y0: str,
-    *,
-    defect: float | None = None,
-    tol: float | None = None,
+    kernel: FiniteKernel, y0: str, *, defect: float | None = None, tol: float | None = None
 ) -> list[BoundCheck]:
     """Finite form of the growth argument: the largest |F(., y0)| value,
     less the defect, never exceeds |F(y, y0)| * max |F(., y)| for any y."""
     _require_complex(kernel, "growth_witness")
-    j0 = kernel.index(y0)
-    c = _resolve_defect(kernel, defect)
-    tolv = check_tolerance(kernel, tol)
-    absT = kernel.entry_norms()
-    col0 = absT[:, j0]
-    a_star = kernel.labels[int(col0.argmax())]
-    return _label_checks(
-        "growth", kernel.labels, float(col0.max()) - c, col0 * absT.max(axis=0), tolv,
-        [(a_star,)] * kernel.n,
-    )
+    return _run_checks(kernel, [_growth_sides], y0, defect=defect, tol=tol)
 
 
 @_in_range
@@ -462,11 +450,7 @@ def gm_factorize(kernel: FiniteKernel) -> Factorization:
 
 
 def bound_suite(
-    kernel: FiniteKernel,
-    ref: str,
-    *,
-    defect: float | None = None,
-    tol: float | None = None,
+    kernel: FiniteKernel, ref: str, *, defect: float | None = None, tol: float | None = None
 ) -> list[BoundCheck]:
     """All applicable bound checks for one kernel, sharing one defect pass
     and one tolerance.
@@ -478,17 +462,11 @@ def bound_suite(
     gauge bounds come in closed form at argmax |f| and argmax |g| (see
     gauge_error_bound), so after the defect scan the suite costs O(n^2).
     """
-    c = _resolve_defect(kernel, defect)
-    tolv = check_tolerance(kernel, tol)
-    checks = [slice_residual(kernel, ref, defect=c, tol=tolv)]
-    checks.extend(diagonal_report(kernel, defect=c, tol=tolv))
+    families = [_slice_sides, _diagonal_sides]
     if kernel.value_kind == COMPLEX:
-        checks.extend(unit_diag_bound(kernel, defect=c, tol=tolv))
-        checks.extend(growth_witness(kernel, ref, defect=c, tol=tolv))
-        i0 = kernel.index(ref)
-        if kernel.table[:, i0].all() and kernel.table[i0, :].all():
-            checks.extend(_gauge_checks(kernel, i0, c, tolv))
-    return checks
+        gauge = functools.partial(_gauge_sides, skip_vanishing=True)
+        families += [_unit_diag_sides, _growth_sides, gauge]
+    return _run_checks(kernel, families, ref, defect=defect, tol=tol)
 
 
 def render_report(doc: dict) -> bytes:

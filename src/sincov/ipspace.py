@@ -61,6 +61,8 @@ class IPVector:
         vals = []
         try:
             for c in self.coords:
+                if isinstance(c, (str, bytes, bool)):  # not numbers, as in load_vectors
+                    raise TypeError(f"{type(c).__name__} {c!r}")
                 vals.append(complex(c))
         except (TypeError, ValueError, OverflowError) as exc:
             raise VectorError(f"coordinate {len(vals)}: not a number: {exc}") from None

@@ -186,10 +186,6 @@ def _components(table, kind: str) -> tuple[np.ndarray, ...]:
     return tuple(np.asarray(p, order="C") for p in parts)
 
 
-def _finite(x: float) -> bool:
-    return math.isfinite(x)
-
-
 @dataclass(frozen=True)
 class AlgebraValue:
     """One element of the value algebra: a complex scalar or a real 2x2 matrix.
@@ -205,7 +201,7 @@ class AlgebraValue:
     def __post_init__(self):
         if self.kind == COMPLEX:
             z = complex(self.payload)
-            if not (_finite(z.real) and _finite(z.imag)):
+            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
                 raise KernelError("non-finite complex value")
             object.__setattr__(self, "payload", z)
         elif self.kind == MAT2:
@@ -447,7 +443,7 @@ class GeneratorSpec:
 
     def _validate_constant(self):
         v = complex(self._need("value"))
-        if not (_finite(v.real) and _finite(v.imag)):
+        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
             raise KernelError("constant: value must be finite")
         self._positive_int("size", 1)
 
@@ -457,7 +453,7 @@ class GeneratorSpec:
         if len(values) != len(samples):
             raise KernelError(f"{self.variant}: f_values must match samples in length")
         for v in values:
-            if not (_finite(v.real) and _finite(v.imag)):
+            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
                 raise KernelError(f"{self.variant}: non-finite f value")
             if v == 0:
                 raise KernelError(f"{self.variant}: f values must be nonzero")
@@ -470,7 +466,7 @@ class GeneratorSpec:
     def _validate_e1(self):
         self._positive_int("n", 2)
         c = float(self._need("c"))
-        if not (_finite(c) and c > 0):
+        if not (math.isfinite(c) and c > 0):
             raise KernelError("e1: c must be a positive finite real")
 
     def _validate_e0(self):
@@ -480,7 +476,7 @@ class GeneratorSpec:
 
     def _validate_mat2_ratio(self):
         c0 = float(self._need("c0"))
-        if not (_finite(c0) and c0 > 0):
+        if not (math.isfinite(c0) and c0 > 0):
             raise KernelError("mat2_ratio: c0 must be a positive finite real")
         pts, _ = _as_points(self._need("samples"), self.variant)
         if np.any(pts <= 0.0):
@@ -494,9 +490,9 @@ class GeneratorSpec:
         _as_points(self._need("samples"), self.variant)
         self._ratio_values()
         eps = float(self._need("eps"))
-        if not (_finite(eps) and eps >= 0):
+        if not (math.isfinite(eps) and eps >= 0):
             raise KernelError("perturbed_ratio: eps must be a nonnegative finite real")
-        if not _finite(2.0 * eps):  # the width of the range delta is drawn from
+        if not math.isfinite(2.0 * eps):  # the width of the range delta is drawn from
             raise KernelError("perturbed_ratio: 2*eps must be finite")
         if self.seed is not None:
             self._positive_int("seed", 0)

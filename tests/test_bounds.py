@@ -367,3 +367,36 @@ def test_tolerance_must_be_finite_and_nonnegative(tol):
         check_tolerance(kernel, tol)
     with pytest.raises(KernelError, match="tolerance must be finite and nonnegative"):
         bound_suite(kernel, "2", tol=tol)
+
+
+_PERTURBED = generate(GeneratorSpec("perturbed_ratio", samples=(1.0, 2.0, 3.0), eps=0.1, seed=1))
+_WITH_DEFECT = {
+    "slice_residual": lambda k, c: slice_residual(k, "1", defect=c),
+    "diagonal_report": lambda k, c: diagonal_report(k, defect=c),
+    "unit_diag_bound": lambda k, c: unit_diag_bound(k, defect=c),
+    "growth_witness": lambda k, c: growth_witness(k, "1", defect=c),
+    "gauge_bound": lambda k, c: gauge_bound(k, "1", "2", defect=c),
+    "bound_suite": lambda k, c: bound_suite(k, "1", defect=c),
+    "gauge_error_bound": lambda k, c: gauge_error_bound(k, "1", "2", c),
+}
+
+
+@pytest.mark.parametrize("defect", [-1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("name", sorted(_WITH_DEFECT))
+def test_a_given_defect_must_be_finite_and_nonnegative(name, defect):
+    with pytest.raises(KernelError, match="defect must be finite and nonnegative, got"):
+        _WITH_DEFECT[name](_PERTURBED, defect)
+
+
+@pytest.mark.parametrize("name", sorted(_WITH_DEFECT))
+def test_kind_then_labels_are_checked_before_the_defect_pass(name, monkeypatch):
+    def no_pass(kernel):
+        raise AssertionError("defect pass before the input checks")
+
+    monkeypatch.setattr("sincov.analysis.sincov_defect", no_pass)
+    if name not in ("slice_residual", "diagonal_report", "bound_suite"):  # kind before labels
+        with pytest.raises(KernelError, match="requires a complex-valued kernel"):
+            _WITH_DEFECT[name](FiniteKernel(("x",), "mat2", np.ones((1, 1, 2, 2))), None)
+    if name not in ("diagonal_report", "unit_diag_bound"):  # those look up no label
+        with pytest.raises(UnknownLabelError):
+            _WITH_DEFECT[name](FiniteKernel(("x",), "complex", [[1.0]]), None)

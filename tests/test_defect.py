@@ -87,6 +87,13 @@ def test_is_exact():
         is_exact(generate(GeneratorSpec("constant", value=1.0, size=1)), -1.0)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+def test_is_exact_rejects_a_non_finite_tolerance(tol):
+    # inf would pass every kernel, and nan would fail every kernel, silently
+    with pytest.raises(KernelError, match="tolerance must be finite and nonnegative"):
+        is_exact(generate(GeneratorSpec("constant", value=-1.0, size=3)), tol)
+
+
 def test_determinism_across_thread_counts(monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: 8)  # 3 and 4 workers on any machine
     kernel = random_complex_kernel(np.random.default_rng(8), 80)

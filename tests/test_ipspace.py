@@ -88,10 +88,18 @@ def test_vector_validation():
         IPVector("real", (float("nan"),))
     with pytest.raises(VectorError, match="field"):
         IPVector("rational", (1.0,))
-    for coords in (((1, 2),), (1.0, "x"), (10**400,)):  # TypeError, ValueError, OverflowError
+    # a TypeError and an OverflowError of complex(), and what load_vectors
+    # rejects although complex() would parse it: text, bytes and booleans
+    for field, coords in (
+        ("real", ((1, 2),)), ("real", (1.0, "x")), ("real", (10**400,)),
+        ("real", ("1.5",)), ("real", (1.5, True)), ("complex", ("1+2j",)),
+        ("complex", (1.0, b"1")), ("real", (False,)),
+    ):
         with pytest.raises(VectorError, match=f"coordinate {len(coords) - 1}: not a number"):
-            IPVector("real", coords)
+            IPVector(field, coords)
     assert IPVector("complex", (1.0 + 2.0j, 3.0)).dim == 2
+    numpy_scalars = (np.float32(1.5), np.int64(2), np.complex64(1j))
+    assert IPVector("complex", numpy_scalars).coords == (1.5, 2.0, 1j)
 
 
 def test_complex_margins_use_conjugation():
