@@ -21,7 +21,7 @@ lexicographically smallest (a, x, b) index triple, so results are identical
 for any chunking or thread count.
 
 Range policy: every norm of a kernel value is the kind's declared norm
-(kernel._ALGEBRA), which is finite whenever the exact norm is inside float64
+(kernel._KINDS), which is finite whenever the exact norm is inside float64
 range: its fast closed form is recomputed at a power-of-two scale wherever
 its squares could have overflowed or underflowed.  Array work runs with
 numpy's overflow warnings off.  A quantity that leaves float64 range (a
@@ -43,7 +43,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .kernel import (
-    _ALGEBRA, COMPLEX, FiniteKernel, KernelError, _cmul, _cnorm, _components, _in_range,
+    _KINDS, COMPLEX, FiniteKernel, KernelError, _cmul, _cnorm, _components, _in_range, _ratio_table,
 )
 
 TOL_SCALE = 1e-12
@@ -142,7 +142,7 @@ def _slab_function(kernel: FiniteKernel):
     """slab(x, out): the defect terms |F(a, x) F(x, b) - F(a, b)| for all
     (a, b), computed in the buffers of out = _slab_buffers(n).  The result is
     one of those buffers, so the next call with the same out overwrites it."""
-    mul, norm = _ALGEBRA[kernel.value_kind]
+    mul, norm = _KINDS[kernel.value_kind].mul, _KINDS[kernel.value_kind].norm
     parts = _components(kernel.table, kernel.value_kind)
 
     def slab(x: int, out) -> np.ndarray:
@@ -290,7 +290,7 @@ def _factorization(kernel: FiniteKernel, reference, f_vec, g_vec) -> Factorizati
     non-finite value raises KernelError."""
     residual = math.inf
     if f_vec.all():
-        dev = kernel.table - f_vec[:, None] / f_vec[None, :]
+        dev = kernel.table - _ratio_table(f_vec)
         residual = float(_cnorm(dev.real, dev.imag).max())
     gauge_error = float(_gauge_deviation(f_vec, g_vec).max())
     if not (math.isfinite(gauge_error) and (math.isfinite(residual) or not f_vec.all())):
@@ -357,7 +357,7 @@ def gauge_bound(
 
 def _diagonal_sides(kernel: FiniteKernel, i0, c: float):
     labels = kernel.labels
-    mul, norm = _ALGEBRA[kernel.value_kind]
+    mul, norm = _KINDS[kernel.value_kind].mul, _KINDS[kernel.value_kind].norm
     parts = _components(kernel.table, kernel.value_kind)
     diag = tuple(np.diagonal(p) for p in parts)
     spread = norm(*(d[:, None] - d[None, :] for d in diag))

@@ -14,25 +14,16 @@ import gc
 import json
 import math
 import threading
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import chain
+from numbers import Number
 from operator import itemgetter
 
 import numpy as np
 
 COMPLEX = "complex"
 MAT2 = "mat2"
-VALUE_KINDS = (COMPLEX, MAT2)
-
-GENERATOR_VARIANTS = (
-    "constant",
-    "ratio",
-    "e1",
-    "e0",
-    "mat2_ratio",
-    "moszner",
-    "perturbed_ratio",
-)
 
 
 class KernelError(ValueError):
@@ -55,14 +46,14 @@ class UnknownLabelError(KernelError):
     """Label not present in the kernel."""
 
 
-# Each value kind is declared once, in _ALGEBRA: its product and its norm in
-# component form, over the real component arrays that _components returns.
-# The scalar value type, the defect scan and the diagonal checks all compute
-# through that table, so they share one arithmetic.  Each function is built
-# from single ufunc applications (multiply, add, subtract, sqrt, frexp,
-# ldexp), which are correctly rounded per element, so scalar and array
-# evaluations agree bit for bit; fused expressions such as numpy's SIMD
-# complex multiply do not.
+# Each value kind is declared once, in _KINDS (below): its storage, its
+# identity, its file entry, and its product and norm in component form, over
+# the real component arrays that _components returns.  The scalar value type,
+# the defect scan and the diagonal checks all compute through that table, so
+# they share one arithmetic.  Each function is built from single ufunc
+# applications (multiply, add, subtract, sqrt, frexp, ldexp), which are
+# correctly rounded per element, so scalar and array evaluations agree bit
+# for bit; fused expressions such as numpy's SIMD complex multiply do not.
 #
 # Each function also takes out=, indexable buffer arrays: its steps write
 # into out[0], out[1], ... and its results are the first of them.  The scan
@@ -171,19 +162,67 @@ def _norm2x2(m00, m01, m10, m11, out=_UNBUFFERED):
     return np.sqrt(np.multiply(0.5, np.add(q, disc, out=out[0]), out=out[0]), out=out[0])
 
 
-# kind -> (product, norm), both taking components in storage order
-_ALGEBRA = {COMPLEX: (_cmul, _cnorm), MAT2: (_mul2x2, _norm2x2)}
+# A value is stored as dtype with shape; its float64 view holds its components in
+# storage order.  keys, form, slots: a file entry's keys, its form, where its reals are.
+_Kind = namedtuple("_Kind", "dtype shape mul norm one keys form slots")
+_KINDS = {
+    COMPLEX: _Kind(np.complex128, (), _cmul, _cnorm, (1.0, 0.0),
+                   ("re", "im"), '{"re": ..., "im": ...}', (".re", ".im")),
+    MAT2: _Kind(np.float64, (2, 2), _mul2x2, _norm2x2, (1.0, 0.0, 0.0, 1.0),
+                ("m",), '{"m": [[a, b], [c, d]]}', (".m[0][0]", ".m[0][1]", ".m[1][0]", ".m[1][1]")),
+}
+VALUE_KINDS = tuple(_KINDS)
 
 
-def _components(table, kind: str) -> tuple[np.ndarray, ...]:
-    """Contiguous real component arrays of one value or a table of values, in
-    storage order: (re, im) for complex, (m00, m01, m10, m11) for mat2."""
-    t = np.asarray(table)
-    if kind == COMPLEX:
-        parts = (t.real, t.imag)
-    else:
-        parts = (t[..., 0, 0], t[..., 0, 1], t[..., 1, 0], t[..., 1, 1])
-    return tuple(np.asarray(p, order="C") for p in parts)
+def _kind(kind: str) -> _Kind:
+    try:
+        return _KINDS[kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
+        raise KernelError(f"unknown value kind {kind!r}") from None
+
+
+def _components(values, kind: str) -> tuple[np.ndarray, ...]:
+    """Contiguous component arrays of one value or a table of values."""
+    algebra = _KINDS[kind]
+    v = np.asarray(values, algebra.dtype)
+    flat = v.reshape(v.shape[: v.ndim - len(algebra.shape)] + (-1,)).view(np.float64)
+    return tuple(np.asarray(flat[..., k], order="C") for k in range(flat.shape[-1]))
+
+
+def _of_parts(kind: str, parts) -> np.ndarray:
+    """The values with the given components, each broadcast to the shape of the
+    first; the inverse of _components."""
+    algebra = _KINDS[kind]
+    flat = np.empty(np.shape(parts[0]) + (len(parts),))
+    for k, p in enumerate(parts):
+        flat[..., k] = p
+    return flat.view(algebra.dtype).reshape(flat.shape[:-1] + algebra.shape)
+
+
+def _values(kind: str, data, lead: tuple[int, ...]) -> np.ndarray:
+    """data as a new array of values of kind, of shape lead + the value shape,
+    all finite.  Only numbers are values: text and booleans are not, and a
+    real kind takes no complex number.  Each fault raises KernelError."""
+    algebra = _kind(kind)
+    try:
+        a = np.asarray(data)
+        if a.dtype == object:  # say, Python integers beyond int64
+            for x in a.flat:
+                if isinstance(x, bool) or not isinstance(x, Number):
+                    raise TypeError(f"{type(x).__name__} {x!r}")
+        elif a.dtype.kind == "b" or not np.can_cast(a.dtype, algebra.dtype, "same_kind"):
+            raise TypeError(f"{a.dtype} data")
+        a = a.astype(algebra.dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise KernelError(f"{kind} values must be {np.dtype(algebra.dtype)} numbers: {exc}") from None
+    want = lead + algebra.shape
+    if a.shape != want:
+        raise KernelError(f"{kind} data has shape {a.shape}, need {want}")
+    finite = np.isfinite(a)
+    if not finite.all():
+        idx = tuple(int(i) for i in np.argwhere(~finite)[0][: len(lead)])
+        raise KernelError(f"non-finite entry at index {idx}" if lead else f"non-finite {kind} value")
+    return a
 
 
 @dataclass(frozen=True)
@@ -199,25 +238,14 @@ class AlgebraValue:
     payload: complex | tuple[tuple[float, float], tuple[float, float]]
 
     def __post_init__(self):
-        if self.kind == COMPLEX:
-            z = complex(self.payload)
-            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                raise KernelError("non-finite complex value")
-            object.__setattr__(self, "payload", z)
-        elif self.kind == MAT2:
-            m = np.asarray(self.payload, dtype=np.float64)
-            if m.shape != (2, 2):
-                raise KernelError(f"mat2 payload must be 2x2, got shape {m.shape}")
-            if not np.all(np.isfinite(m)):
-                raise KernelError("non-finite matrix entry")
-            rows = ((float(m[0, 0]), float(m[0, 1])), (float(m[1, 0]), float(m[1, 1])))
-            object.__setattr__(self, "payload", rows)
-        else:
-            raise KernelError(f"unknown value kind {self.kind!r}")
+        payload = _values(self.kind, self.payload, ()).tolist()  # a complex, or a matrix's rows
+        if isinstance(payload, list):
+            payload = tuple(map(tuple, payload))
+        object.__setattr__(self, "payload", payload)
 
     @classmethod
     def of_complex(cls, z: complex) -> "AlgebraValue":
-        return cls(COMPLEX, complex(z))
+        return cls(COMPLEX, z)
 
     @classmethod
     def of_mat2(cls, m) -> "AlgebraValue":
@@ -225,11 +253,7 @@ class AlgebraValue:
 
     @classmethod
     def one(cls, kind: str) -> "AlgebraValue":
-        if kind == COMPLEX:
-            return cls(COMPLEX, 1.0 + 0.0j)
-        if kind == MAT2:
-            return cls(MAT2, ((1.0, 0.0), (0.0, 1.0)))
-        raise KernelError(f"unknown value kind {kind!r}")
+        return cls(kind, _of_parts(kind, _kind(kind).one))
 
     def as_complex(self) -> complex:
         if self.kind != COMPLEX:
@@ -241,49 +265,39 @@ class AlgebraValue:
             raise KindMismatchError("not a mat2 value")
         return np.array(self.payload, dtype=np.float64)
 
-    def _same_kind(self, other: "AlgebraValue") -> None:
-        if self.kind != other.kind:
-            raise KindMismatchError(f"mixed value kinds {self.kind!r} and {other.kind!r}")
-
     def _parts(self) -> tuple[float, ...]:
         return tuple(p.item() for p in _components(self.payload, self.kind))
 
-    def _of_parts(self, parts) -> "AlgebraValue":
-        """The value of this kind with the given components."""
-        if self.kind == COMPLEX:
-            return AlgebraValue(COMPLEX, complex(*parts))
-        return AlgebraValue(MAT2, (parts[:2], parts[2:]))
+    def _with_parts(self, parts) -> "AlgebraValue":
+        return AlgebraValue(self.kind, _of_parts(self.kind, parts))
 
     def _pairs(self, other: "AlgebraValue"):
-        self._same_kind(other)
+        if self.kind != other.kind:
+            raise KindMismatchError(f"mixed value kinds {self.kind!r} and {other.kind!r}")
         return zip(self._parts(), other._parts())
 
     def __add__(self, other: "AlgebraValue") -> "AlgebraValue":
-        return self._of_parts([a + b for a, b in self._pairs(other)])
+        return self._with_parts([a + b for a, b in self._pairs(other)])
 
     def __sub__(self, other: "AlgebraValue") -> "AlgebraValue":
-        return self._of_parts([a - b for a, b in self._pairs(other)])
+        return self._with_parts([a - b for a, b in self._pairs(other)])
 
     @_in_range  # silent, like Python floats
     def __mul__(self, other: "AlgebraValue") -> "AlgebraValue":
-        self._same_kind(other)
-        return self._of_parts(_ALGEBRA[self.kind][0](*self._parts(), *other._parts()))
+        a, b = zip(*self._pairs(other))
+        return self._with_parts(_KINDS[self.kind].mul(*a, *b))
 
     def scale(self, factor: float) -> "AlgebraValue":
         lam = float(factor)
-        return self._of_parts([lam * a for a in self._parts()])
+        return self._with_parts([lam * a for a in self._parts()])
 
     @property
     def norm(self) -> float:
-        return float(_ALGEBRA[self.kind][1](*self._parts()))
+        return float(_KINDS[self.kind].norm(*self._parts()))
 
 
 def defect_term(ax: AlgebraValue, xb: AlgebraValue, ab: AlgebraValue) -> float:
     """Composition defect |ax * xb - ab| of one triple of kernel values."""
-    if not (ax.kind == xb.kind == ab.kind):
-        raise KindMismatchError(
-            f"mixed value kinds {ax.kind!r}, {xb.kind!r}, {ab.kind!r}"
-        )
     return (ax * xb - ab).norm
 
 
@@ -305,26 +319,7 @@ class FiniteKernel:
             raise KernelError("kernel needs at least one label")
         if len(set(labels)) != len(labels):
             raise KernelError("duplicate labels")
-        if self.value_kind not in VALUE_KINDS:
-            raise KernelError(f"unknown value kind {self.value_kind!r}")
-        n = len(labels)
-        if self.value_kind == COMPLEX:
-            table = np.array(self.table, dtype=np.complex128)
-            if table.shape != (n, n):
-                raise KernelError(
-                    f"table shape {table.shape} does not match {n} labels"
-                )
-            finite = np.isfinite(table.real) & np.isfinite(table.imag)
-        else:
-            table = np.array(self.table, dtype=np.float64)
-            if table.shape != (n, n, 2, 2):
-                raise KernelError(
-                    f"table shape {table.shape} does not match {n} labels (need (n, n, 2, 2))"
-                )
-            finite = np.isfinite(table)
-        if not finite.all():
-            idx = np.argwhere(~finite)[0]
-            raise KernelError(f"non-finite entry at index {tuple(int(i) for i in idx[:2])}")
+        table = _values(self.value_kind, self.table, (len(labels),) * 2)
         table.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "table", table)
@@ -352,7 +347,7 @@ class FiniteKernel:
 
     @functools.cached_property
     def _entry_norms(self) -> np.ndarray:
-        norms = _ALGEBRA[self.value_kind][1](*_components(self.table, self.value_kind))
+        norms = _KINDS[self.value_kind].norm(*_components(self.table, self.value_kind))
         norms.setflags(write=False)
         return norms
 
@@ -377,16 +372,23 @@ def point_label(x: float) -> str:
     return repr(xf)
 
 
-def _as_points(samples, variant: str) -> tuple[np.ndarray, tuple[str, ...]]:
-    pts = np.asarray([float(s) for s in samples], dtype=np.float64)
-    if pts.size == 0:
-        raise KernelError(f"{variant}: needs at least one sample")
-    if not np.all(np.isfinite(pts)):
-        raise KernelError(f"{variant}: non-finite sample")
-    labels = tuple(point_label(p) for p in pts)
-    if len(set(labels)) != len(labels):
-        raise KernelError(f"{variant}: duplicate sample points")
-    return pts, labels
+@_in_range
+def _ratio_table(f: np.ndarray) -> np.ndarray:
+    """f(u) / f(v) for a real or complex f with no zero.  A quotient that is not
+    finite (complex division by a subnormal gives inf+nanj) is recomputed as
+    m(u) / m(v) 2^(e_u - e_v), with m = f 2^-e of largest component modulus in
+    [0.5, 1), and replaced where that is finite; finite quotients keep their bits."""
+    q = f[:, None] / f[None, :]
+    bad = ~np.isfinite(q)
+    if bad.any():
+        parts = f.reshape(-1, 1).view(np.float64)  # row v: the components of f(v)
+        _, e = np.frexp(np.abs(parts).max(axis=1))
+        m = np.ldexp(parts, -e[:, None]).view(f.dtype)[:, 0]
+        u, v = np.nonzero(bad)
+        r = (m[u] / m[v]).reshape(-1, 1).view(np.float64)
+        redo = np.ldexp(r, (e[u] - e[v])[:, None]).view(f.dtype)[:, 0]
+        q[bad] = np.where(np.isfinite(redo), redo, q[bad])
+    return q
 
 
 @dataclass(frozen=True)
@@ -423,7 +425,7 @@ class GeneratorSpec:
             object.__setattr__(self, "samples", tuple(float(s) for s in self.samples))
         if self.f_values is not None:
             object.__setattr__(self, "f_values", tuple(complex(v) for v in self.f_values))
-        getattr(self, f"_validate_{self.variant}")()
+        _GENERATORS[self.variant](self)
 
     def _need(self, field: str):
         val = getattr(self, field)
@@ -441,105 +443,118 @@ class GeneratorSpec:
             raise KernelError(f"{self.variant}: {field} must be an integer >= {minimum}")
         return val
 
-    def _validate_constant(self):
-        v = complex(self._need("value"))
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            raise KernelError("constant: value must be finite")
-        self._positive_int("size", 1)
+    def _real(self, field: str, *, positive: bool) -> float:
+        val = float(self._need(field))
+        if not (math.isfinite(val) and (val > 0 if positive else val >= 0)):
+            sign = "positive" if positive else "nonnegative"
+            raise KernelError(f"{self.variant}: {field} must be a {sign} finite real")
+        return val
 
-    def _ratio_values(self) -> tuple[complex, ...]:
-        samples = self._need("samples")
-        values = self.f_values if self.f_values is not None else tuple(complex(s) for s in samples)
-        if len(values) != len(samples):
-            raise KernelError(f"{self.variant}: f_values must match samples in length")
-        for v in values:
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise KernelError(f"{self.variant}: non-finite f value")
-            if v == 0:
-                raise KernelError(f"{self.variant}: f values must be nonzero")
-        return values
-
-    def _validate_ratio(self):
-        _as_points(self._need("samples"), self.variant)
-        self._ratio_values()
-
-    def _validate_e1(self):
-        self._positive_int("n", 2)
-        c = float(self._need("c"))
-        if not (math.isfinite(c) and c > 0):
-            raise KernelError("e1: c must be a positive finite real")
-
-    def _validate_e0(self):
-        pts, _ = _as_points(self._need("samples"), self.variant)
-        if np.any(pts < 1.0):
-            raise KernelError("e0: samples must lie in [1, inf)")
-
-    def _validate_mat2_ratio(self):
-        c0 = float(self._need("c0"))
-        if not (math.isfinite(c0) and c0 > 0):
-            raise KernelError("mat2_ratio: c0 must be a positive finite real")
-        pts, _ = _as_points(self._need("samples"), self.variant)
-        if np.any(pts <= 0.0):
-            raise KernelError("mat2_ratio: samples must be positive")
-
-    def _validate_moszner(self):
-        self._positive_int("n", 1)
-        self._positive_int("size", 1)
-
-    def _validate_perturbed_ratio(self):
-        _as_points(self._need("samples"), self.variant)
-        self._ratio_values()
-        eps = float(self._need("eps"))
-        if not (math.isfinite(eps) and eps >= 0):
-            raise KernelError("perturbed_ratio: eps must be a nonnegative finite real")
-        if not math.isfinite(2.0 * eps):  # the width of the range delta is drawn from
-            raise KernelError("perturbed_ratio: 2*eps must be finite")
-        if self.seed is not None:
-            self._positive_int("seed", 0)
+    def _points(self) -> np.ndarray:
+        """At least one finite sample point, no two alike (nor their labels)."""
+        pts = np.asarray(self._need("samples"), dtype=np.float64)
+        if pts.size == 0:
+            raise KernelError(f"{self.variant}: needs at least one sample")
+        if not np.all(np.isfinite(pts)):
+            raise KernelError(f"{self.variant}: non-finite sample")
+        if len(set(pts.tolist())) != pts.size:
+            raise KernelError(f"{self.variant}: duplicate sample points")
+        return pts
 
 
-def _index_labels(count: int) -> tuple[str, ...]:
-    return tuple(f"x{i}" for i in range(count))
+# Each generator variant is one function of its GeneratorSpec: it checks that
+# variant's parameters and returns make() -> (labels, value kind, table).
+
+def _filled(size: int, value: complex):
+    return tuple(f"x{i}" for i in range(size)), COMPLEX, np.full((size, size), value, np.complex128)
 
 
+def _quotients(pts: np.ndarray, c: float = 0.0):
+    """F(a, b) = a / (b + c) on the points."""
+    table = (pts[:, None] / (pts[None, :] + c)).astype(np.complex128)
+    return tuple(map(point_label, pts)), COMPLEX, table
+
+
+def _constant(spec: GeneratorSpec):
+    value = complex(spec._need("value"))
+    if not np.isfinite(value):
+        raise KernelError("constant: value must be finite")
+    size = spec._positive_int("size", 1)
+    return lambda: _filled(size, value)
+
+
+def _ratio(spec: GeneratorSpec):
+    pts = spec._points()
+    f = np.asarray(pts if spec.f_values is None else spec.f_values, dtype=np.complex128)
+    if f.shape != pts.shape:
+        raise KernelError(f"{spec.variant}: f_values must match samples in length")
+    if not np.isfinite(f).all():
+        raise KernelError(f"{spec.variant}: non-finite f value")
+    if not f.all():
+        raise KernelError(f"{spec.variant}: f values must be nonzero")
+    return lambda: (tuple(map(point_label, pts)), COMPLEX, _ratio_table(f))
+
+
+def _e1(spec: GeneratorSpec):
+    n, c = spec._positive_int("n", 2), spec._real("c", positive=True)
+    return lambda: _quotients(np.arange(n, n * n + 1, dtype=np.float64), c)
+
+
+def _e0(spec: GeneratorSpec):
+    pts = spec._points()
+    if np.any(pts < 1.0):
+        raise KernelError("e0: samples must lie in [1, inf)")
+    return lambda: _quotients(pts)
+
+
+def _mat2_ratio(spec: GeneratorSpec):
+    c0, pts = spec._real("c0", positive=True), spec._points()
+    if np.any(pts <= 0.0):
+        raise KernelError("mat2_ratio: samples must be positive")
+
+    def make():  # F(u, v) = [[u/v, 0], [0, c0]]
+        table = _of_parts(MAT2, (pts[:, None] / pts[None, :], 0, 0, c0))
+        return tuple(map(point_label, pts)), MAT2, table
+
+    return make
+
+
+def _moszner(spec: GeneratorSpec):
+    n, size = spec._positive_int("n", 1), spec._positive_int("size", 1)
+    return lambda: _filled(size, 1.0 / n)
+
+
+def _perturbed_ratio(spec: GeneratorSpec):
+    ratio = _ratio(spec)
+    eps = spec._real("eps", positive=False)
+    if not math.isfinite(2.0 * eps):  # the width of the range delta is drawn from
+        raise KernelError("perturbed_ratio: 2*eps must be finite")
+    seed = 0 if spec.seed is None else spec._positive_int("seed", 0)
+
+    def make():
+        labels, kind, table = ratio()
+        delta = np.random.default_rng(seed).uniform(-eps, eps, table.shape)
+        return labels, kind, table * (1.0 + delta)
+
+    return make
+
+
+_GENERATORS = {
+    "constant": _constant,
+    "ratio": _ratio,
+    "e1": _e1,
+    "e0": _e0,
+    "mat2_ratio": _mat2_ratio,
+    "moszner": _moszner,
+    "perturbed_ratio": _perturbed_ratio,
+}
+GENERATOR_VARIANTS = tuple(_GENERATORS)
+
+
+@_in_range  # an entry beyond float64 range is caught by value, in FiniteKernel
 def generate(spec: GeneratorSpec) -> FiniteKernel:
     """Materialize the kernel described by a GeneratorSpec."""
-    v = spec.variant
-    if v == "constant":
-        size = int(spec.size)
-        table = np.full((size, size), complex(spec.value), dtype=np.complex128)
-        return FiniteKernel(_index_labels(size), COMPLEX, table)
-    if v == "moszner":
-        size = int(spec.size)
-        table = np.full((size, size), 1.0 / int(spec.n), dtype=np.complex128)
-        return FiniteKernel(_index_labels(size), COMPLEX, table)
-    if v == "e1":
-        n, c = int(spec.n), float(spec.c)
-        pts = np.arange(n, n * n + 1, dtype=np.float64)
-        labels = tuple(point_label(p) for p in pts)
-        table = (pts[:, None] / (pts[None, :] + c)).astype(np.complex128)
-        return FiniteKernel(labels, COMPLEX, table)
-    if v == "e0":
-        pts, labels = _as_points(spec.samples, v)
-        table = (pts[:, None] / pts[None, :]).astype(np.complex128)
-        return FiniteKernel(labels, COMPLEX, table)
-    if v == "mat2_ratio":
-        pts, labels = _as_points(spec.samples, v)
-        size = pts.size
-        table = np.zeros((size, size, 2, 2), dtype=np.float64)
-        table[..., 0, 0] = pts[:, None] / pts[None, :]
-        table[..., 1, 1] = float(spec.c0)
-        return FiniteKernel(labels, MAT2, table)
-    if v in ("ratio", "perturbed_ratio"):
-        _, labels = _as_points(spec.samples, v)
-        f = np.asarray(spec._ratio_values(), dtype=np.complex128)
-        table = f[:, None] / f[None, :]
-        if v == "perturbed_ratio":
-            rng = np.random.default_rng(0 if spec.seed is None else int(spec.seed))
-            delta = rng.uniform(-float(spec.eps), float(spec.eps), table.shape)
-            table = table * (1.0 + delta)
-        return FiniteKernel(labels, COMPLEX, table)
-    raise KernelError(f"unknown generator variant {v!r}")
+    return FiniteKernel(*_GENERATORS[spec.variant](spec)())
 
 
 # Kernel file format: a UTF-8 JSON document
@@ -671,13 +686,6 @@ def _parse(data):
         raise KernelFormatError("invalid JSON: nesting too deep") from None
 
 
-# kind -> (entry keys, entry form, location suffix of each real in storage order)
-_ENTRY_FORMS = {
-    COMPLEX: (("re", "im"), '{"re": ..., "im": ...}', (".re", ".im")),
-    MAT2: (("m",), '{"m": [[a, b], [c, d]]}', (".m[0][0]", ".m[0][1]", ".m[1][0]", ".m[1][1]")),
-}
-
-
 @_gc_paused
 def load_kernel(data: bytes) -> FiniteKernel:
     """Parse and validate a kernel document; inverse of save_kernel."""
@@ -705,18 +713,16 @@ def load_kernel(data: bytes) -> FiniteKernel:
     n = len(labels)
     if not isinstance(entries, list) or len(entries) != n:
         raise KernelFormatError(f"entries must have {n} rows", "entries")
-    keys, form, slots = _ENTRY_FORMS[kind]
+    algebra = _KINDS[kind]
     cell = lambda k: "entries[%d][%d]" % divmod(k, n)
     # each level's list replaces the one before, so only two are alive at once
     level = _spread(entries, n, f"row must have {n} entries", lambda i: f"entries[{i}]")
     del doc, entries
-    level = _fields(level, keys, f"{kind} entry must be {form}", cell)
+    level = _fields(level, algebra.keys, f"{kind} entry must be {algebra.form}", cell)
     if kind == MAT2:
         level = _spread(level, 2, "m must be a 2x2 array", lambda k: cell(k) + ".m")
         level = _spread(level, 2, "m must be a 2x2 array", lambda k: cell(k // 2) + ".m")
-    width = len(slots)
-    reals = _reals(level, lambda k: cell(k // width) + slots[k % width])
+    width = len(algebra.slots)
+    reals = _reals(level, lambda k: cell(k // width) + algebra.slots[k % width])
     del level
-    if kind == COMPLEX:
-        return FiniteKernel(tuple(labels), kind, reals.view(np.complex128).reshape(n, n))
-    return FiniteKernel(tuple(labels), kind, reals.reshape(n, n, 2, 2))
+    return FiniteKernel(tuple(labels), kind, reals.view(algebra.dtype).reshape((n, n) + algebra.shape))

@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 
 from sincov import DefectReport, FiniteKernel
-from sincov.kernel import _ALGEBRA, _cnorm, _components
+from sincov.kernel import _KINDS, _cnorm, _components
 
 
 def brute_force_defect(kernel: FiniteKernel) -> float:
@@ -27,8 +27,8 @@ def brute_force_defect(kernel: FiniteKernel) -> float:
 
 def unbuffered_slabs(kernel: FiniteKernel) -> list[np.ndarray]:
     """Reference slabs without buffers: for every x, the terms
-    |F(a, x) F(x, b) - F(a, b)| from the _ALGEBRA functions on fresh arrays."""
-    mul, norm = _ALGEBRA[kernel.value_kind]
+    |F(a, x) F(x, b) - F(a, b)| from the _KINDS functions on fresh arrays."""
+    mul, norm = _KINDS[kernel.value_kind].mul, _KINDS[kernel.value_kind].norm
     parts = _components(kernel.table, kernel.value_kind)
     slabs = []
     for x in range(kernel.n):

@@ -9,7 +9,8 @@ import pytest
 
 from conftest import IN_RANGE_KERNELS, OVERFLOWING_KERNELS
 from sincov import FiniteKernel, save_kernel, sincov_defect
-from sincov.cli import main
+from sincov.cli import build_parser, main
+from sincov.kernel import GENERATOR_VARIANTS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -284,3 +285,9 @@ def test_factorize_out_of_range_exits_three(tmp_path):
     assert "sincov: error: input: non-finite factorization: gauge_error inf" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_gen_example_choices_are_the_generator_variants():
+    gen = build_parser()._subparsers._group_actions[0].choices["gen"]
+    example = next(a for a in gen._actions if a.dest == "example")
+    assert tuple(example.choices) == GENERATOR_VARIANTS

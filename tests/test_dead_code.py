@@ -1,39 +1,58 @@
-"""Every top-level private function, class and constant of the package has a
+"""Every private function, class, constant and method of the package has a
 caller: a name that is only defined is code to delete."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sincov"
 
 
 def _defined(stmt: ast.stmt) -> list[str]:
-    """The names a top-level statement binds."""
+    """The names a statement binds in its module or class body."""
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         return [stmt.name]
     targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
     return [n.id for t in targets if t is not None for n in ast.walk(t) if isinstance(n, ast.Name)]
 
 
-def _used(stmt: ast.stmt) -> set[str]:
-    """The names a top-level statement reads, as a name or an attribute."""
-    return {
+def _used(node: ast.AST) -> Counter:
+    """How often a node reads each name, as a name or an attribute."""
+    return Counter(
         n.id if isinstance(n, ast.Name) else n.attr
-        for n in ast.walk(stmt)
+        for n in ast.walk(node)
         if isinstance(n, ast.Attribute) or (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
-    }
+    )
+
+
+def _unused(scope) -> list[str]:
+    """The private names that scope(module) defines, as (name, defining
+    statement) pairs, and that no code outside their own definition reads."""
+    paths = sorted(PACKAGE.glob("*.py"))
+    modules = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    reads = sum((_used(tree) for tree in modules.values()), Counter())
+    return [
+        f"{module}: {name}"
+        for module, tree in modules.items()
+        for name, stmt in scope(tree)
+        if name.startswith("_") and not name.endswith("__") and reads[name] == _used(stmt)[name]
+    ]
+
+
+def _top_level(tree: ast.Module):
+    return [(name, stmt) for stmt in tree.body for name in _defined(stmt)]
+
+
+def _class_bodies(tree: ast.Module):
+    classes = [stmt for stmt in tree.body if isinstance(stmt, ast.ClassDef)]
+    return [(name, stmt) for cls in classes for stmt in cls.body for name in _defined(stmt)]
 
 
 def test_every_private_top_level_name_has_a_caller():
-    statements = [
-        (path.name, stmt, _used(stmt))
-        for path in sorted(PACKAGE.glob("*.py"))
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body
-    ]
-    unused = []
-    for module, stmt, _ in statements:
-        for name in _defined(stmt):
-            private = name.startswith("_") and not name.endswith("__")
-            if private and not any(name in used for _, other, used in statements if other is not stmt):
-                unused.append(f"{module}: {name}")
+    unused = _unused(_top_level)
+    assert not unused, f"defined but never used: {unused}"
+
+
+def test_every_private_method_has_a_caller():
+    unused = _unused(_class_bodies)
     assert not unused, f"defined but never used: {unused}"

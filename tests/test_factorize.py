@@ -1,8 +1,11 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_complex_kernel
 from sincov import (
@@ -15,7 +18,7 @@ from sincov import (
     gm_factorize,
     sincov_defect,
 )
-from sincov.kernel import KernelError
+from sincov.kernel import KernelError, _ratio_table
 
 
 def test_exact_ratio_recovery():
@@ -161,3 +164,47 @@ def test_gauge_error_is_the_largest_gauge_check_lhs():
             assert factorize(kernel, ref).gauge_error == max(gauge)
             compared += 1
     assert compared == 200
+
+
+def test_factorize_with_a_subnormal_reference_column():
+    # f = (1e-310, 2e-310): numpy's complex division by a subnormal gives
+    # inf+nanj, though every ratio f(u)/f(v) is 1, 0.5 or 2
+    kernel = FiniteKernel(("a", "b"), "complex", [[1e-310, 1.0], [2e-310, 1.0]])
+    fac = factorize(kernel, "a")
+    assert fac.residual == 2.0  # |F(b, a) - f(b)/f(a)| = |2e-310 - 2|
+    assert fac.gauge_error == 1.0
+
+
+def _exact_ratio(a: complex, b: complex) -> tuple[Fraction, Fraction]:
+    ar, ai, br, bi = map(Fraction, (a.real, a.imag, b.real, b.imag))
+    d = br * br + bi * bi
+    return (ar * br + ai * bi) / d, (ai * br - ar * bi) / d
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.builds(complex, FINITE, FINITE), min_size=1, max_size=4), st.booleans())
+@example([1e-310, 2e-310], False)
+@example([5e-324, 1.0], False)
+@example([1e-200j, 1e200], False)
+@example([1e-310, 2e-310], True)
+def test_ratio_table_is_the_plain_quotient_wherever_that_is_finite(values, real):
+    f = np.array([v.real for v in values] if real else values)
+    assume(f.all())
+    with np.errstate(all="ignore"):
+        plain = f[:, None] / f[None, :]
+    q = _ratio_table(f)
+    assert q.dtype == f.dtype
+    finite = np.isfinite(plain)
+    assert q[finite].tobytes() == plain[finite].tobytes()
+    # where the plain quotient is not finite, an in-range ratio is recomputed
+    # to within a few units in the last place, normwise
+    for u, v in zip(*np.nonzero(~finite)):
+        re, im = _exact_ratio(complex(f[u]), complex(f[v]))
+        size = max(abs(re), abs(im))
+        if 2.0**-1000 < size < 2.0**1000:
+            got = complex(q[u, v])
+            err = max(abs(Fraction(got.real) - re), abs(Fraction(got.imag) - im))
+            assert err <= Fraction(2.0**-50) * size

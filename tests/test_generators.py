@@ -77,6 +77,23 @@ def test_perturbation_stays_within_radius():
     assert float(rel.max()) <= 0.25
 
 
+def test_ratio_with_subnormal_f_values():
+    spec = GeneratorSpec("ratio", samples=(1, 2), f_values=(1e-310, 2e-310))
+    assert generate(spec).table.tolist() == [[1.0, 0.5], [2.0, 1.0]]
+
+
+def test_an_entry_beyond_float64_range_raises_without_a_warning():
+    # u/v = 1e300/1e-300 overflows; the warning used to come before the error
+    with pytest.raises(KernelError, match=r"non-finite entry at index \(1, 0\)"):
+        generate(GeneratorSpec("mat2_ratio", c0=1.0, samples=(1e-300, 1e300)))
+
+
+def test_specs_build_nothing_until_generated():
+    # a check of every parameter, without the 10^12-point table it describes
+    spec = GeneratorSpec("e1", n=10**6, c=1.0)
+    assert (spec.n, spec.c) == (10**6, 1.0)
+
+
 def test_point_label_rendering():
     assert point_label(2.0) == "2"
     assert point_label(2.5) == "2.5"

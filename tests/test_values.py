@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sincov import AlgebraValue, KindMismatchError, defect_term
-from sincov.kernel import KernelError
+from sincov import AlgebraValue, FiniteKernel, KindMismatchError, defect_term
+from sincov.kernel import KernelError, _components, _of_parts
 
 
 def _random_complex_value(rng):
@@ -91,6 +91,8 @@ def test_invalid_values_rejected():
         AlgebraValue.of_mat2([[1.0, 2.0, 3.0]])
     with pytest.raises(KernelError):
         AlgebraValue("quaternion", 1.0)
+    with pytest.raises(KernelError, match="unknown value kind"):
+        AlgebraValue.one("quaternion")
 
 
 def test_defect_term_constant_negative_one():
@@ -109,3 +111,91 @@ def test_defect_term_mat2_diagonal_example():
     xb = AlgebraValue.of_mat2([[0.5, 0.0], [0.0, 2.0]])
     ab = AlgebraValue.of_mat2([[0.25, 0.0], [0.0, 2.0]])
     assert defect_term(ax, xb, ab) == 2.0
+
+
+def _reference_components(kind, values):
+    """The components of one value or a table of values, written out per kind."""
+    t = np.asarray(values)
+    if kind == "complex":
+        return t.real, t.imag
+    return t[..., 0, 0], t[..., 0, 1], t[..., 1, 0], t[..., 1, 1]
+
+
+def _samples(kind, rng):
+    """Random tables of several sizes, a strided slice of one, and single values."""
+    make = {
+        "complex": lambda *s: rng.standard_normal(s) + 1j * rng.standard_normal(s),
+        "mat2": lambda *s: rng.standard_normal(s + (2, 2)),
+    }[kind]
+    tables = [make(n, n) for n in (1, 2, 5)]
+    return tables + [tables[-1][:, 1], tables[-1][::2, ::-1], make()]
+
+
+@pytest.mark.parametrize("kind", ["complex", "mat2"])
+def test_components_match_the_per_kind_reference(kind):
+    rng = np.random.default_rng(12)
+    for values in _samples(kind, rng):
+        got = _components(values, kind)
+        want = _reference_components(kind, values)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.flags.c_contiguous and g.dtype == np.float64
+            assert g.shape == w.shape and g.tobytes() == np.ascontiguousarray(w).tobytes()
+        back = _of_parts(kind, got)  # the inverse
+        assert back.shape == np.shape(values)
+        assert back.tobytes() == np.ascontiguousarray(values).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["complex", "mat2"])
+def test_components_of_a_value_payload(kind):
+    values = _samples(kind, np.random.default_rng(13))[-1]
+    want = [float(w) for w in _reference_components(kind, values)]
+    assert [p.item() for p in _components(AlgebraValue(kind, values).payload, kind)] == want
+
+
+@pytest.mark.parametrize("kind", ["complex", "mat2"])
+def test_one_is_the_identity(kind):
+    rng = np.random.default_rng(14)
+    make = _random_complex_value if kind == "complex" else _random_mat2_value
+    one = AlgebraValue.one(kind)
+    for _ in range(200):
+        v = make(rng)
+        assert one * v == v * one == v
+
+
+# Each of these is not a value of its kind: a complex number for a real kind,
+# text, booleans, and numbers beyond float64.
+NOT_VALUES = [
+    ("mat2", [[1j, 0.0], [0.0, 1.0]]),
+    ("mat2", [["1", 0.0], [0.0, 1.0]]),
+    ("mat2", [[10**30, True], [0.0, 1.0]]),  # a boolean among Python objects
+    ("complex", "1+2j"),
+    ("complex", True),
+    ("complex", 10**400),
+    ("complex", "x"),
+    ("complex", None),
+]
+
+
+@pytest.mark.parametrize("kind,value", NOT_VALUES)
+def test_a_value_is_a_finite_number_of_its_kind(kind, value):
+    with pytest.raises(KernelError, match="numbers"):
+        AlgebraValue(kind, value)
+    with pytest.raises(KernelError, match="numbers"):
+        FiniteKernel(("a",), kind, [[value]])
+
+
+def test_large_python_integers_are_values():
+    # numpy holds 10**30 as a Python object, not as a number type
+    assert FiniteKernel(("a",), "complex", [[10**30]]).table[0, 0] == 1e30
+    assert AlgebraValue("complex", 10**30).as_complex() == 1e30
+    assert AlgebraValue("mat2", [[10**30, 0], [0, 1]]).as_mat2()[0, 0] == 1e30
+
+
+def test_value_shape_and_finiteness_messages():
+    with pytest.raises(KernelError, match=r"mat2 data has shape \(1, 3\), need \(2, 2\)"):
+        AlgebraValue("mat2", [[1.0, 2.0, 3.0]])
+    with pytest.raises(KernelError, match="non-finite mat2 value"):
+        AlgebraValue("mat2", [[1.0, np.inf], [0.0, 1.0]])
+    with pytest.raises(KernelError, match=r"non-finite entry at index \(1, 0\)"):
+        FiniteKernel(("a", "b"), "mat2", np.where(np.arange(16).reshape(2, 2, 2, 2) == 9, np.nan, 1.0))
