@@ -26,7 +26,7 @@ import numpy as np
 
 from .analysis import sincov_defect
 from .kernel import (
-    COMPLEX, FiniteKernel, KernelFormatError, _gc_paused, _in_range, _parse, _reals, _spread,
+    COMPLEX, FiniteKernel, KernelFormatError, _gc_paused, _in_range, _parse, _reals, _scaled, _spread,
 )
 
 REAL_FIELD = "real"
@@ -112,9 +112,8 @@ def _rows(M: np.ndarray) -> tuple[np.ndarray, ...]:
     ldexp(r_i, e_i) of M_i, infinite only where the exact norm is.  The scaling
     is exact wherever no scaled component falls below 2^-1022."""
     M = np.ascontiguousarray(M)
-    comps = M.view(np.float64).reshape(len(M), -1)
-    _, e = np.frexp(np.abs(comps).max(axis=1, initial=0.0))  # initial: 2x faster on short rows
-    S = np.ldexp(comps, -e[:, None]).view(M.dtype)
+    S, e = _scaled(M.view(np.float64).reshape(len(M), -1))
+    S = S.view(M.dtype)
     sq = _rowwise_inner(S, S).real
     r = np.sqrt(sq)
     return S, e, sq, r, np.ldexp(r, e)

@@ -80,6 +80,14 @@ def _in_range(fn):
     return run
 
 
+def _scaled(comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(comps 2^-e, e) for rows of real components along the last axis: e puts
+    the row's largest component modulus in [0.5, 1), and is 0 for a zero row.
+    The scaling is exact wherever no scaled component falls below 2^-1022."""
+    _, e = np.frexp(np.abs(comps).max(axis=-1, initial=0.0))  # initial: 2x faster on short rows
+    return np.ldexp(comps, -e[..., None]), e
+
+
 # Both norms are closed forms in squares of the components, which overflow
 # or lose bits to underflow long before the norm itself leaves float64
 # range.  _range_guarded keeps the fast form where its result r lies in a
@@ -110,9 +118,9 @@ def _range_guarded(lo: float, hi: float):
             r = np.asarray(formula(*parts, out=out))
             if not (r.min() >= lo and r.max() <= hi):  # false on NaN
                 outside = ~((r >= lo) & (r <= hi))
-                comps = np.array([np.broadcast_to(p, r.shape)[outside] for p in parts])
-                _, e = np.frexp(np.abs(comps).max(axis=0))
-                r[outside] = np.ldexp(formula(*np.ldexp(comps, -e)), e)
+                comps = np.stack([np.broadcast_to(p, r.shape)[outside] for p in parts], axis=-1)
+                scaled, e = _scaled(comps)
+                r[outside] = np.ldexp(formula(*scaled.T), e)
             return r
 
         return norm
@@ -163,13 +171,15 @@ def _norm2x2(m00, m01, m10, m11, out=_UNBUFFERED):
 
 
 # A value is stored as dtype with shape; its float64 view holds its components in
-# storage order.  keys, form, slots: a file entry's keys, its form, where its reals are.
-_Kind = namedtuple("_Kind", "dtype shape mul norm one keys form slots")
+# storage order.  keys, form, slots: a file entry's keys, its form, where its reals are;
+# entry: the bytes save_kernel writes for it, with a %r for each real in storage order.
+_Kind = namedtuple("_Kind", "dtype shape mul norm one keys form slots entry")
 _KINDS = {
     COMPLEX: _Kind(np.complex128, (), _cmul, _cnorm, (1.0, 0.0),
-                   ("re", "im"), '{"re": ..., "im": ...}', (".re", ".im")),
+                   ("re", "im"), '{"re": ..., "im": ...}', (".re", ".im"), '{"re":%r,"im":%r}'),
     MAT2: _Kind(np.float64, (2, 2), _mul2x2, _norm2x2, (1.0, 0.0, 0.0, 1.0),
-                ("m",), '{"m": [[a, b], [c, d]]}', (".m[0][0]", ".m[0][1]", ".m[1][0]", ".m[1][1]")),
+                ("m",), '{"m": [[a, b], [c, d]]}', (".m[0][0]", ".m[0][1]", ".m[1][0]", ".m[1][1]"),
+                '{"m":[[%r,%r],[%r,%r]]}'),
 }
 VALUE_KINDS = tuple(_KINDS)
 
@@ -199,22 +209,32 @@ def _of_parts(kind: str, parts) -> np.ndarray:
     return flat.view(algebra.dtype).reshape(flat.shape[:-1] + algebra.shape)
 
 
-def _values(kind: str, data, lead: tuple[int, ...]) -> np.ndarray:
-    """data as a new array of values of kind, of shape lead + the value shape,
-    all finite.  Only numbers are values: text and booleans are not, and a
-    real kind takes no complex number.  Each fault raises KernelError."""
-    algebra = _kind(kind)
+def _is_number(x) -> bool:
+    """The value rule: only numbers are values; text and booleans are not."""
+    return isinstance(x, Number) and not isinstance(x, bool)
+
+
+def _numbers(data, dtype, what: str) -> np.ndarray:
+    """data as a new C-ordered array of dtype, under the value rule; a real dtype
+    takes no complex number.  A fault raises KernelError(what must be ...)."""
     try:
         a = np.asarray(data)
         if a.dtype == object:  # say, Python integers beyond int64
             for x in a.flat:
-                if isinstance(x, bool) or not isinstance(x, Number):
+                if not _is_number(x):
                     raise TypeError(f"{type(x).__name__} {x!r}")
-        elif a.dtype.kind == "b" or not np.can_cast(a.dtype, algebra.dtype, "same_kind"):
+        elif a.dtype.kind == "b" or not np.can_cast(a.dtype, dtype, "same_kind"):
             raise TypeError(f"{a.dtype} data")
-        a = a.astype(algebra.dtype)
+        return a.astype(dtype, order="C")
     except (TypeError, ValueError, OverflowError) as exc:
-        raise KernelError(f"{kind} values must be {np.dtype(algebra.dtype)} numbers: {exc}") from None
+        raise KernelError(f"{what} must be {np.dtype(dtype)} numbers: {exc}") from None
+
+
+def _values(kind: str, data, lead: tuple[int, ...]) -> np.ndarray:
+    """data as a new C-ordered array of values of kind, of shape lead + the
+    value shape, all finite, under the value rule.  Each fault raises KernelError."""
+    algebra = _kind(kind)
+    a = _numbers(data, algebra.dtype, f"{kind} values")
     want = lead + algebra.shape
     if a.shape != want:
         raise KernelError(f"{kind} data has shape {a.shape}, need {want}")
@@ -381,9 +401,8 @@ def _ratio_table(f: np.ndarray) -> np.ndarray:
     q = f[:, None] / f[None, :]
     bad = ~np.isfinite(q)
     if bad.any():
-        parts = f.reshape(-1, 1).view(np.float64)  # row v: the components of f(v)
-        _, e = np.frexp(np.abs(parts).max(axis=1))
-        m = np.ldexp(parts, -e[:, None]).view(f.dtype)[:, 0]
+        m, e = _scaled(f.reshape(-1, 1).view(np.float64))  # row v: the components of f(v)
+        m = m.view(f.dtype)[:, 0]
         u, v = np.nonzero(bad)
         r = (m[u] / m[v]).reshape(-1, 1).view(np.float64)
         redo = np.ldexp(r, (e[u] - e[v])[:, None]).view(f.dtype)[:, 0]
@@ -421,10 +440,9 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.variant not in GENERATOR_VARIANTS:
             raise KernelError(f"unknown generator variant {self.variant!r}")
-        if self.samples is not None:
-            object.__setattr__(self, "samples", tuple(float(s) for s in self.samples))
-        if self.f_values is not None:
-            object.__setattr__(self, "f_values", tuple(complex(v) for v in self.f_values))
+        for field, dtype in (("samples", np.float64), ("f_values", np.complex128)):
+            if getattr(self, field) is not None:
+                object.__setattr__(self, field, tuple(self._param(field, dtype, 1).tolist()))
         _GENERATORS[self.variant](self)
 
     def _need(self, field: str):
@@ -433,10 +451,18 @@ class GeneratorSpec:
             raise KernelError(f"{self.variant}: parameter {field!r} is required")
         return val
 
+    def _param(self, field: str, dtype, ndim: int = 0) -> np.ndarray:
+        """The parameter as an array of dtype with ndim axes, under the value rule."""
+        val = _numbers(self._need(field), dtype, f"{self.variant}: {field}")
+        if val.ndim != ndim:
+            shape = ("one number", "a sequence of numbers")[ndim]
+            raise KernelError(f"{self.variant}: {field} must be {shape}")
+        return val
+
     def _positive_int(self, field: str, minimum: int) -> int:
         raw = self._need(field)
         try:
-            val = int(raw)
+            val = int(raw) if _is_number(raw) else None
         except (TypeError, ValueError, OverflowError):  # not a number, NaN or infinite
             val = None
         if val is None or val != raw or val < minimum:
@@ -444,7 +470,7 @@ class GeneratorSpec:
         return val
 
     def _real(self, field: str, *, positive: bool) -> float:
-        val = float(self._need(field))
+        val = self._param(field, np.float64).item()
         if not (math.isfinite(val) and (val > 0 if positive else val >= 0)):
             sign = "positive" if positive else "nonnegative"
             raise KernelError(f"{self.variant}: {field} must be a {sign} finite real")
@@ -476,7 +502,7 @@ def _quotients(pts: np.ndarray, c: float = 0.0):
 
 
 def _constant(spec: GeneratorSpec):
-    value = complex(spec._need("value"))
+    value = spec._param("value", np.complex128).item()
     if not np.isfinite(value):
         raise KernelError("constant: value must be finite")
     size = spec._positive_int("size", 1)
@@ -629,17 +655,19 @@ def _fields(items: list, keys: tuple, message: str, where) -> list:
 
 
 def save_kernel(kernel: FiniteKernel) -> bytes:
-    """Serialize deterministically: fixed key order, shortest round-trip reals."""
-    if kernel.value_kind == COMPLEX:
-        entries = [
-            [{"re": re, "im": im} for re, im in zip(row_re, row_im)]
-            for row_re, row_im in zip(kernel.table.real.tolist(), kernel.table.imag.tolist())
-        ]
-    else:
-        entries = [[{"m": m} for m in row] for row in kernel.table.tolist()]
-    doc = {"labels": list(kernel.labels), "value_kind": kernel.value_kind, "entries": entries}
-    text = json.dumps(doc, ensure_ascii=False, allow_nan=False, separators=(",", ":"))
-    return (text + "\n").encode("utf-8")
+    """Serialize deterministically: keys labels, value_kind, entries, no spaces,
+    shortest round-trip reals, and a final newline.
+
+    The bytes are those of json.dumps with separators (",", ":"), whose float
+    encoder is float.__repr__, as %r is: each row is one format of the kind's
+    entry template, repeated n times, with the row's reals as Python floats."""
+    n = kernel.n
+    head = json.dumps({"labels": list(kernel.labels), "value_kind": kernel.value_kind},
+                      ensure_ascii=False, separators=(",", ":"))
+    row = "[" + ",".join([_KINDS[kernel.value_kind].entry] * n) + "]"
+    reals = kernel.table.reshape(n, -1).view(np.float64).tolist()  # C-ordered, see _values
+    body = ",".join([row % tuple(r) for r in reals])
+    return f'{head[:-1]},"entries":[{body}]}}\n'.encode("utf-8")
 
 
 def _real_error(value) -> str | None:

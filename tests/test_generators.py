@@ -136,3 +136,29 @@ def test_scale_invariance_of_ratio_kernels():
 def test_generator_validation(spec_kwargs, match):
     with pytest.raises(KernelError, match=match):
         GeneratorSpec(**spec_kwargs)
+
+
+@pytest.mark.parametrize(
+    "spec_kwargs",
+    [
+        dict(variant="ratio", samples=("1", "2")),
+        dict(variant="ratio", samples=("a",)),
+        dict(variant="ratio", samples=(1.0, 2.0), f_values=("1", "2")),
+        dict(variant="ratio", samples=(1.0 + 0j, 2.0)),
+        dict(variant="ratio", samples=1.0),
+        dict(variant="e1", n=2, c="1.5"),
+        dict(variant="e1", n=2, c=(1.5,)),
+        dict(variant="constant", value=True, size=2),
+        dict(variant="constant", value="1+2j", size=2),
+        dict(variant="moszner", n=True, size=2),
+        dict(variant="moszner", n=2, size=True),
+        dict(variant="mat2_ratio", c0=True, samples=(1.0,)),
+        dict(variant="perturbed_ratio", samples=(1.0, 2.0), eps="0.1"),
+        dict(variant="perturbed_ratio", samples=(1.0, 2.0), eps=0.1, seed=True),
+    ],
+    ids=repr,
+)
+def test_generator_parameters_follow_the_value_rule(spec_kwargs):
+    """Only numbers are parameters: text, booleans and complex reals raise KernelError."""
+    with pytest.raises(KernelError):
+        GeneratorSpec(**spec_kwargs)

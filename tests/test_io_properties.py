@@ -52,6 +52,46 @@ def kernels(draw):
     return FiniteKernel(tuple(f"p{i}" for i in range(n)), kind, table)
 
 
+# reals where repr changes form (1e16, 1e-4) and integral floats, with the edges
+WRITER_REALS = REALS | st.sampled_from(EDGE_REALS + (
+    1e16, 9999999999999998.0, 1.0000000000000002e16, 1e-4, 9.999999999999999e-05,
+    1.0001e-4, 0.0, 1.0, -3.0, 2.0 ** 52, 2.0 ** 53 + 2.0, 123456789.0,
+))
+# quotes, backslashes, control characters, non-ASCII and non-BMP text
+LABELS = st.text(st.characters(codec="utf-8") | st.sampled_from('"\\\n\t\x00\x1fé€\U0001f600'), max_size=6)
+LAYOUTS = {
+    "contiguous": lambda t: t,
+    "transposed": lambda t: t.swapaxes(0, 1),
+    "reversed": lambda t: t[::-1, ::-1],
+}
+
+
+@st.composite
+def writer_kernels(draw):
+    """Kernels with any finite reals and labels, built from tables of any layout."""
+    kind = draw(st.sampled_from(["complex", "mat2"]))
+    n = draw(st.integers(1, 4))
+    width = 2 if kind == "complex" else 4
+    reals = np.array(draw(st.lists(WRITER_REALS, min_size=n * n * width, max_size=n * n * width)))
+    table = reals.view(np.complex128).reshape(n, n) if kind == "complex" else reals.reshape(n, n, 2, 2)
+    labels = draw(st.lists(LABELS, min_size=n, max_size=n, unique=True))
+    return FiniteKernel(tuple(labels), kind, LAYOUTS[draw(st.sampled_from(sorted(LAYOUTS)))](table))
+
+
+def reference_save_kernel(kernel: FiniteKernel) -> bytes:
+    """The kernel file as json.dumps writes it from a tree of entry objects."""
+    if kernel.value_kind == "complex":
+        entries = [
+            [{"re": re, "im": im} for re, im in zip(row_re, row_im)]
+            for row_re, row_im in zip(kernel.table.real.tolist(), kernel.table.imag.tolist())
+        ]
+    else:
+        entries = [[{"m": m} for m in row] for row in kernel.table.tolist()]
+    doc = {"labels": list(kernel.labels), "value_kind": kernel.value_kind, "entries": entries}
+    text = json.dumps(doc, ensure_ascii=False, allow_nan=False, separators=(",", ":"))
+    return (text + "\n").encode("utf-8")
+
+
 @st.composite
 def vector_lists(draw):
     field = draw(st.sampled_from(["real", "complex"]))
@@ -99,6 +139,12 @@ def test_kernel_round_trip_is_bit_identical(kernel):
     assert back.labels == kernel.labels and back.value_kind == kernel.value_kind
     assert back.table.dtype == kernel.table.dtype
     assert back.table.tobytes() == kernel.table.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(writer_kernels())
+def test_save_kernel_writes_the_bytes_of_the_reference_writer(kernel):
+    assert save_kernel(kernel) == reference_save_kernel(kernel)
 
 
 @settings(max_examples=100, deadline=None)

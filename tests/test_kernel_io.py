@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +40,33 @@ def test_roundtrip_random_tables():
     rng = np.random.default_rng(11)
     for kernel in (random_complex_kernel(rng, 5), random_mat2_kernel(rng, 4)):
         assert load_kernel(save_kernel(kernel)) == kernel
+
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in GOLDEN.glob("*.json") if p.name != "expected.json"), ids=lambda p: p.stem
+)
+def test_golden_kernel_files_resave_to_their_own_bytes(path):
+    data = path.read_bytes()
+    assert save_kernel(load_kernel(data)) == data
+
+
+@pytest.mark.parametrize("kind", ["complex", "mat2"])
+@pytest.mark.parametrize(
+    "layout", [lambda t: t.swapaxes(0, 1), lambda t: t[::-1, ::-1]], ids=["transposed", "reversed"]
+)
+def test_non_contiguous_tables_are_stored_c_ordered_and_saved(kind, layout):
+    rng = np.random.default_rng(5)
+    source = random_complex_kernel(rng, 4) if kind == "complex" else random_mat2_kernel(rng, 4)
+    table = layout(source.table)
+    assert not table.flags.c_contiguous
+    kernel = FiniteKernel(source.labels, kind, table)
+    assert kernel.table.flags.c_contiguous
+    data = save_kernel(kernel)
+    assert data == save_kernel(FiniteKernel(source.labels, kind, np.ascontiguousarray(table)))
+    assert load_kernel(data) == kernel
 
 
 def test_saved_document_shape():
