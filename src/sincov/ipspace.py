@@ -26,7 +26,8 @@ import numpy as np
 
 from .analysis import sincov_defect
 from .kernel import (
-    COMPLEX, FiniteKernel, KernelFormatError, _gc_paused, _in_range, _parse, _reals, _scaled, _spread,
+    COMPLEX, FiniteKernel, KernelFormatError, _gc_paused, _in_range, _is_number, _parse, _reals, _scaled,
+    _spread,
 )
 
 REAL_FIELD = "real"
@@ -61,7 +62,7 @@ class IPVector:
         vals = []
         try:
             for c in self.coords:
-                if isinstance(c, (str, bytes, bool)):  # not numbers, as in load_vectors
+                if not _is_number(c):  # the value rule of kernel values
                     raise TypeError(f"{type(c).__name__} {c!r}")
                 vals.append(complex(c))
         except (TypeError, ValueError, OverflowError) as exc:
@@ -94,9 +95,6 @@ class InequalityMargin:
     lhs: float
     rhs: float
     margin: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _rowwise_inner(U: np.ndarray, V: np.ndarray) -> np.ndarray:

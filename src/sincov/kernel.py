@@ -48,12 +48,13 @@ class UnknownLabelError(KernelError):
 
 # Each value kind is declared once, in _KINDS (below): its storage, its
 # identity, its file entry, and its product and norm in component form, over
-# the real component arrays that _components returns.  The scalar value type,
-# the defect scan and the diagonal checks all compute through that table, so
-# they share one arithmetic.  Each function is built from single ufunc
-# applications (multiply, add, subtract, sqrt, frexp, ldexp), which are
-# correctly rounded per element, so scalar and array evaluations agree bit
-# for bit; fused expressions such as numpy's SIMD complex multiply do not.
+# real components: the arrays that _components returns, or the Python floats
+# that a scalar AlgebraValue holds.  The scalar value type, the defect scan
+# and the diagonal checks all compute through that table, so they share one
+# arithmetic.  Each function is built from single ufunc applications
+# (multiply, add, subtract, sqrt, frexp, ldexp), which are correctly rounded
+# per element, so scalar and array evaluations agree bit for bit; fused
+# expressions such as numpy's SIMD complex multiply do not.
 #
 # Each function also takes out=, indexable buffer arrays: its steps write
 # into out[0], out[1], ... and its results are the first of them.  The scan
@@ -181,7 +182,6 @@ _KINDS = {
                 ("m",), '{"m": [[a, b], [c, d]]}', (".m[0][0]", ".m[0][1]", ".m[1][0]", ".m[1][1]"),
                 '{"m":[[%r,%r],[%r,%r]]}'),
 }
-VALUE_KINDS = tuple(_KINDS)
 
 
 def _kind(kind: str) -> _Kind:
@@ -199,16 +199,6 @@ def _components(values, kind: str) -> tuple[np.ndarray, ...]:
     return tuple(np.asarray(flat[..., k], order="C") for k in range(flat.shape[-1]))
 
 
-def _of_parts(kind: str, parts) -> np.ndarray:
-    """The values with the given components, each broadcast to the shape of the
-    first; the inverse of _components."""
-    algebra = _KINDS[kind]
-    flat = np.empty(np.shape(parts[0]) + (len(parts),))
-    for k, p in enumerate(parts):
-        flat[..., k] = p
-    return flat.view(algebra.dtype).reshape(flat.shape[:-1] + algebra.shape)
-
-
 def _is_number(x) -> bool:
     """The value rule: only numbers are values; text and booleans are not."""
     return isinstance(x, Number) and not isinstance(x, bool)
@@ -216,14 +206,16 @@ def _is_number(x) -> bool:
 
 def _numbers(data, dtype, what: str) -> np.ndarray:
     """data as a new C-ordered array of dtype, under the value rule; a real dtype
-    takes no complex number.  A fault raises KernelError(what must be ...)."""
+    takes no complex number.  A fault raises KernelError(what must be ...).
+    numpy data is judged by its one dtype, other data element by element:
+    numpy would read a boolean among numbers as a number."""
     try:
         a = np.asarray(data)
-        if a.dtype == object:  # say, Python integers beyond int64
-            for x in a.flat:
+        if a.dtype == object or not isinstance(data, (np.ndarray, np.generic)):
+            for x in np.asarray(data, dtype=object).flat:  # object: say, integers beyond int64
                 if not _is_number(x):
                     raise TypeError(f"{type(x).__name__} {x!r}")
-        elif a.dtype.kind == "b" or not np.can_cast(a.dtype, dtype, "same_kind"):
+        if a.dtype.kind == "b" or not (a.dtype == object or np.can_cast(a.dtype, dtype, "same_kind")):
             raise TypeError(f"{a.dtype} data")
         return a.astype(dtype, order="C")
     except (TypeError, ValueError, OverflowError) as exc:
@@ -245,35 +237,44 @@ def _values(kind: str, data, lead: tuple[int, ...]) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AlgebraValue:
     """One element of the value algebra: a complex scalar or a real 2x2 matrix.
 
-    The payload is a Python complex for kind "complex" and a nested pair of
-    row tuples for kind "mat2".  Values are immutable, compare exactly, and
-    support +, -, *, scaling by a real, and the algebra norm.
+    AlgebraValue(kind, payload) takes a complex number for kind "complex" and
+    a 2x2 nested sequence for kind "mat2", under the value rule.  A value holds
+    its components once, as Python floats in storage order, and computes on
+    them with the _KINDS functions.  Values are immutable, compare exactly,
+    and support +, -, * and the algebra norm.
     """
 
     kind: str
-    payload: complex | tuple[tuple[float, float], tuple[float, float]]
+    _comps: tuple[float, ...]
 
-    def __post_init__(self):
-        payload = _values(self.kind, self.payload, ()).tolist()  # a complex, or a matrix's rows
-        if isinstance(payload, list):
-            payload = tuple(map(tuple, payload))
-        object.__setattr__(self, "payload", payload)
+    def __init__(self, kind: str, payload):
+        self._set(kind, _values(kind, payload, ()).reshape(-1).view(np.float64).tolist())
 
-    @classmethod
-    def of_complex(cls, z: complex) -> "AlgebraValue":
-        return cls(COMPLEX, z)
+    def _set(self, kind: str, comps) -> "AlgebraValue":
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "_comps", tuple(comps))
+        return self
 
-    @classmethod
-    def of_mat2(cls, m) -> "AlgebraValue":
-        return cls(MAT2, m)
+    def _result(self, comps) -> "AlgebraValue":
+        """The value of this kind with the computed components comps, which
+        need only be finite."""
+        if not all(map(math.isfinite, comps)):
+            raise KernelError(f"non-finite {self.kind} value")
+        return AlgebraValue.__new__(AlgebraValue)._set(self.kind, comps)
 
     @classmethod
     def one(cls, kind: str) -> "AlgebraValue":
-        return cls(kind, _of_parts(kind, _kind(kind).one))
+        return cls.__new__(cls)._set(kind, _kind(kind).one)
+
+    @property
+    def payload(self) -> complex | tuple[tuple[float, float], tuple[float, float]]:
+        """A Python complex for kind "complex", a pair of row tuples for "mat2"."""
+        c = self._comps
+        return complex(*c) if self.kind == COMPLEX else (c[:2], c[2:])
 
     def as_complex(self) -> complex:
         if self.kind != COMPLEX:
@@ -285,35 +286,25 @@ class AlgebraValue:
             raise KindMismatchError("not a mat2 value")
         return np.array(self.payload, dtype=np.float64)
 
-    def _parts(self) -> tuple[float, ...]:
-        return tuple(p.item() for p in _components(self.payload, self.kind))
-
-    def _with_parts(self, parts) -> "AlgebraValue":
-        return AlgebraValue(self.kind, _of_parts(self.kind, parts))
-
     def _pairs(self, other: "AlgebraValue"):
         if self.kind != other.kind:
             raise KindMismatchError(f"mixed value kinds {self.kind!r} and {other.kind!r}")
-        return zip(self._parts(), other._parts())
+        return zip(self._comps, other._comps)
 
     def __add__(self, other: "AlgebraValue") -> "AlgebraValue":
-        return self._with_parts([a + b for a, b in self._pairs(other)])
+        return self._result([a + b for a, b in self._pairs(other)])
 
     def __sub__(self, other: "AlgebraValue") -> "AlgebraValue":
-        return self._with_parts([a - b for a, b in self._pairs(other)])
+        return self._result([a - b for a, b in self._pairs(other)])
 
     @_in_range  # silent, like Python floats
     def __mul__(self, other: "AlgebraValue") -> "AlgebraValue":
         a, b = zip(*self._pairs(other))
-        return self._with_parts(_KINDS[self.kind].mul(*a, *b))
-
-    def scale(self, factor: float) -> "AlgebraValue":
-        lam = float(factor)
-        return self._with_parts([lam * a for a in self._parts()])
+        return self._result(list(map(float, _KINDS[self.kind].mul(*a, *b))))
 
     @property
     def norm(self) -> float:
-        return float(_KINDS[self.kind].norm(*self._parts()))
+        return float(_KINDS[self.kind].norm(*self._comps))
 
 
 def defect_term(ax: AlgebraValue, xb: AlgebraValue, ab: AlgebraValue) -> float:
@@ -539,7 +530,8 @@ def _mat2_ratio(spec: GeneratorSpec):
         raise KernelError("mat2_ratio: samples must be positive")
 
     def make():  # F(u, v) = [[u/v, 0], [0, c0]]
-        table = _of_parts(MAT2, (pts[:, None] / pts[None, :], 0, 0, c0))
+        r = pts[:, None] / pts[None, :]
+        table = np.stack(np.broadcast_arrays(r, 0.0, 0.0, c0), axis=-1).reshape(r.shape + (2, 2))
         return tuple(map(point_label, pts)), MAT2, table
 
     return make
@@ -734,7 +726,7 @@ def load_kernel(data: bytes) -> FiniteKernel:
         raise KernelFormatError("duplicate labels", "labels")
 
     kind = doc["value_kind"]
-    if kind not in VALUE_KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:  # a list or dict kind is unhashable
         raise KernelFormatError(f"unknown value_kind {kind!r}", "value_kind")
 
     entries = doc["entries"]

@@ -145,6 +145,8 @@ def test_generator_validation(spec_kwargs, match):
         dict(variant="ratio", samples=("a",)),
         dict(variant="ratio", samples=(1.0, 2.0), f_values=("1", "2")),
         dict(variant="ratio", samples=(1.0 + 0j, 2.0)),
+        dict(variant="ratio", samples=(2.0, True)),
+        dict(variant="ratio", samples=(1.0, 2.0), f_values=(1 + 0j, True)),
         dict(variant="ratio", samples=1.0),
         dict(variant="e1", n=2, c="1.5"),
         dict(variant="e1", n=2, c=(1.5,)),

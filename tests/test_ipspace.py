@@ -93,7 +93,8 @@ def test_vector_validation():
     for field, coords in (
         ("real", ((1, 2),)), ("real", (1.0, "x")), ("real", (10**400,)),
         ("real", ("1.5",)), ("real", (1.5, True)), ("complex", ("1+2j",)),
-        ("complex", (1.0, b"1")), ("real", (False,)),
+        ("complex", (1.0, b"1")), ("real", (False,)), ("real", (np.True_,)),
+        ("complex", (1.0, np.bool_(False))),
     ):
         with pytest.raises(VectorError, match=f"coordinate {len(coords) - 1}: not a number"):
             IPVector(field, coords)

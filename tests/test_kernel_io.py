@@ -178,6 +178,9 @@ def test_load_reads_integer_literals_as_reals():
 def test_load_rejects_unknown_value_kind():
     with pytest.raises(KernelFormatError, match="value_kind"):
         load_kernel(_doc(value_kind="quaternion"))
+    for kind in (["complex"], {"mat2": 1}, None, 1):  # not hashable, or not text
+        with pytest.raises(KernelFormatError, match="value_kind"):
+            load_kernel(_doc(value_kind=kind))
 
 
 def test_load_rejects_unknown_top_level_key():

@@ -40,8 +40,8 @@ CLOSE_REALS = st.just(0.0) | st.builds(
 
 def _value(kind: str, parts) -> AlgebraValue:
     if kind == "complex":
-        return AlgebraValue.of_complex(complex(*parts))
-    return AlgebraValue.of_mat2([parts[:2], parts[2:]])
+        return AlgebraValue("complex", complex(*parts))
+    return AlgebraValue("mat2", [parts[:2], parts[2:]])
 
 
 @settings(max_examples=300, deadline=None)

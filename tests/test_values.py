@@ -1,16 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from sincov import AlgebraValue, FiniteKernel, KindMismatchError, defect_term
-from sincov.kernel import KernelError, _components, _of_parts
+from sincov.kernel import KernelError, _components
 
 
 def _random_complex_value(rng):
-    return AlgebraValue.of_complex(complex(rng.standard_normal(), rng.standard_normal()))
+    return AlgebraValue("complex", complex(rng.standard_normal(), rng.standard_normal()))
 
 
 def _random_mat2_value(rng):
-    return AlgebraValue.of_mat2(rng.standard_normal((2, 2)))
+    return AlgebraValue("mat2", rng.standard_normal((2, 2)))
 
 
 def test_one_has_unit_norm():
@@ -29,14 +31,15 @@ def test_norm_axioms_random_pairs(kind):
         assert (v * w).norm <= v.norm * w.norm + 1e-12 * scale * scale
         assert (v + w).norm <= v.norm + w.norm + 1e-12 * scale
         lam = float(rng.standard_normal())
-        assert abs(v.scale(lam).norm - abs(lam) * v.norm) <= 1e-12 * scale * max(1.0, abs(lam))
+        scaled = AlgebraValue(kind, lam * np.asarray(v.payload))
+        assert abs(scaled.norm - abs(lam) * v.norm) <= 1e-12 * scale * max(1.0, abs(lam))
 
 
 def test_mat2_norm_matches_svd_oracle():
     rng = np.random.default_rng(7)
     for _ in range(1000):
         m = rng.standard_normal((2, 2)) * 10.0 ** rng.integers(-3, 4)
-        got = AlgebraValue.of_mat2(m).norm
+        got = AlgebraValue("mat2", m).norm
         want = float(np.linalg.norm(m, 2))
         assert abs(got - want) <= 1e-12 * max(1.0, want)
 
@@ -45,30 +48,31 @@ def test_mat2_diagonal_norm_is_max_abs_diagonal():
     # dyadic entries keep the closed form exact
     for d1 in (-2.0, -0.5, 0.0, 0.25, 1.0, 4.0):
         for d2 in (-1.0, 0.5, 2.0, 8.0):
-            v = AlgebraValue.of_mat2([[d1, 0.0], [0.0, d2]])
+            v = AlgebraValue("mat2", [[d1, 0.0], [0.0, d2]])
             assert v.norm == max(abs(d1), abs(d2))
 
 
 def test_complex_norm_is_modulus():
-    v = AlgebraValue.of_complex(3 + 4j)
+    v = AlgebraValue("complex", 3 + 4j)
     assert v.norm == 5.0
 
 
 def test_algebra_arithmetic():
-    a = AlgebraValue.of_complex(1 + 2j)
-    b = AlgebraValue.of_complex(3 - 1j)
+    a = AlgebraValue("complex", 1 + 2j)
+    b = AlgebraValue("complex", 3 - 1j)
     assert (a * b).as_complex() == (1 + 2j) * (3 - 1j)
     assert (a + b).as_complex() == 4 + 1j
     assert (a - b).as_complex() == -2 + 3j
 
-    m = AlgebraValue.of_mat2([[1.0, 2.0], [3.0, 4.0]])
-    k = AlgebraValue.of_mat2([[0.0, 1.0], [1.0, 0.0]])
+    m = AlgebraValue("mat2", [[1.0, 2.0], [3.0, 4.0]])
+    k = AlgebraValue("mat2", [[0.0, 1.0], [1.0, 0.0]])
     np.testing.assert_array_equal((m * k).as_mat2(), [[2.0, 1.0], [4.0, 3.0]])
-    np.testing.assert_array_equal(m.scale(2.0).as_mat2(), [[2.0, 4.0], [6.0, 8.0]])
+    np.testing.assert_array_equal((m + m).as_mat2(), [[2.0, 4.0], [6.0, 8.0]])
+    np.testing.assert_array_equal((m - k).as_mat2(), [[1.0, 1.0], [2.0, 4.0]])
 
 
 def test_kind_mismatch_raises():
-    z = AlgebraValue.of_complex(1.0)
+    z = AlgebraValue("complex", 1.0)
     m = AlgebraValue.one("mat2")
     with pytest.raises(KindMismatchError):
         _ = z * m
@@ -82,13 +86,13 @@ def test_kind_mismatch_raises():
 
 def test_invalid_values_rejected():
     with pytest.raises(KernelError):
-        AlgebraValue.of_complex(complex(float("nan"), 0.0))
+        AlgebraValue("complex", complex(float("nan"), 0.0))
     with pytest.raises(KernelError):
-        AlgebraValue.of_complex(complex(0.0, float("inf")))
+        AlgebraValue("complex", complex(0.0, float("inf")))
     with pytest.raises(KernelError):
-        AlgebraValue.of_mat2([[1.0, float("nan")], [0.0, 1.0]])
+        AlgebraValue("mat2", [[1.0, float("nan")], [0.0, 1.0]])
     with pytest.raises(KernelError):
-        AlgebraValue.of_mat2([[1.0, 2.0, 3.0]])
+        AlgebraValue("mat2", [[1.0, 2.0, 3.0]])
     with pytest.raises(KernelError):
         AlgebraValue("quaternion", 1.0)
     with pytest.raises(KernelError, match="unknown value kind"):
@@ -96,20 +100,20 @@ def test_invalid_values_rejected():
 
 
 def test_defect_term_constant_negative_one():
-    v = AlgebraValue.of_complex(-1.0)
+    v = AlgebraValue("complex", -1.0)
     assert defect_term(v, v, v) == 2.0
 
 
 def test_defect_term_exact_solution_point():
-    v = AlgebraValue.of_complex(1.0)
+    v = AlgebraValue("complex", 1.0)
     assert defect_term(v, v, v) == 0.0
 
 
 def test_defect_term_mat2_diagonal_example():
     # diag(a/x, 2), diag(x/b, 2), diag(a/b, 2) with a=1, x=2, b=4
-    ax = AlgebraValue.of_mat2([[0.5, 0.0], [0.0, 2.0]])
-    xb = AlgebraValue.of_mat2([[0.5, 0.0], [0.0, 2.0]])
-    ab = AlgebraValue.of_mat2([[0.25, 0.0], [0.0, 2.0]])
+    ax = AlgebraValue("mat2", [[0.5, 0.0], [0.0, 2.0]])
+    xb = AlgebraValue("mat2", [[0.5, 0.0], [0.0, 2.0]])
+    ab = AlgebraValue("mat2", [[0.25, 0.0], [0.0, 2.0]])
     assert defect_term(ax, xb, ab) == 2.0
 
 
@@ -141,9 +145,6 @@ def test_components_match_the_per_kind_reference(kind):
         for g, w in zip(got, want):
             assert g.flags.c_contiguous and g.dtype == np.float64
             assert g.shape == w.shape and g.tobytes() == np.ascontiguousarray(w).tobytes()
-        back = _of_parts(kind, got)  # the inverse
-        assert back.shape == np.shape(values)
-        assert back.tobytes() == np.ascontiguousarray(values).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["complex", "mat2"])
@@ -174,6 +175,9 @@ NOT_VALUES = [
     ("complex", 10**400),
     ("complex", "x"),
     ("complex", None),
+    ("mat2", [[1.0, True], [0.0, 1.0]]),  # a boolean among floats
+    ("mat2", [np.array([1.0, 0.0]), [np.True_, 1.0]]),
+    ("complex", [1.0, True]),  # rejected for its boolean before its shape
 ]
 
 
@@ -199,3 +203,37 @@ def test_value_shape_and_finiteness_messages():
         AlgebraValue("mat2", [[1.0, np.inf], [0.0, 1.0]])
     with pytest.raises(KernelError, match=r"non-finite entry at index \(1, 0\)"):
         FiniteKernel(("a", "b"), "mat2", np.where(np.arange(16).reshape(2, 2, 2, 2) == 9, np.nan, 1.0))
+
+
+# Every component -0.0, and every component +0.0.
+ZEROS = {
+    "complex": (complex(-0.0, -0.0), 0.0),
+    "mat2": ([[-0.0, -0.0], [-0.0, -0.0]], [[0.0, 0.0], [0.0, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("kind", ["complex", "mat2"])
+def test_computed_values_equal_and_hash_as_constructed_ones(kind):
+    rng = np.random.default_rng(15)
+    make = _random_complex_value if kind == "complex" else _random_mat2_value
+    neg, pos = (AlgebraValue(kind, z) for z in ZEROS[kind])
+    values = [make(rng) for _ in range(20)] + [neg, pos]
+    for v in values:
+        for w in values[-4:]:
+            for got in (v + w, v - w, v * w):
+                built = AlgebraValue(kind, got.payload)
+                assert got == built and hash(got) == hash(built)
+    both = neg + neg  # the sign of zero is kept, and equal zeros are one value
+    assert all(np.signbit(p) for p in _components(both.payload, kind))
+    assert both == pos and hash(both) == hash(pos)
+
+
+@pytest.mark.parametrize("kind", ["complex", "mat2"])
+def test_arithmetic_beyond_float64_raises(kind):
+    big = AlgebraValue(kind, 1e308 * np.asarray(AlgebraValue.one(kind).payload))
+    minus_big = AlgebraValue(kind, -1e308 * np.asarray(AlgebraValue.one(kind).payload))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # silent, like Python floats
+        for op in (lambda: big + big, lambda: big - minus_big, lambda: big * big):
+            with pytest.raises(KernelError, match=f"non-finite {kind} value"):
+                op()
