@@ -43,7 +43,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .kernel import (
-    _KINDS, COMPLEX, FiniteKernel, KernelError, _cmul, _cnorm, _components, _in_range, _ratio_table,
+    _KINDS, COMPLEX, FiniteKernel, KernelError, _cmul, _cnorm, _components, _finite_sides, _in_range,
+    _ratio_table,
 )
 
 TOL_SCALE = 1e-12
@@ -127,13 +128,7 @@ def _checks(names, lhs, rhs, witnesses, tolv: float) -> list[BoundCheck]:
     scalar side is shared by every check.  A side that is not finite means the
     kernel values left float64 range and raises KernelError."""
     lhs, rhs = (np.broadcast_to(np.asarray(s, np.float64), (len(names),)) for s in (lhs, rhs))
-    bad = ~(np.isfinite(lhs) & np.isfinite(rhs))
-    if bad.any():
-        k = int(bad.argmax())
-        raise KernelError(
-            f"non-finite side in check {names[k]}: lhs {float(lhs[k])}, rhs {float(rhs[k])}; "
-            "a value leaves float64 range"
-        )
+    _finite_sides(KernelError, lambda k: f"check {names[k]}", lhs, rhs)
     holds = (lhs <= rhs + tolv).tolist()
     return [BoundCheck(*c) for c in zip(names, lhs.tolist(), rhs.tolist(), holds, witnesses)]
 
@@ -176,13 +171,13 @@ def sincov_defect(kernel: FiniteKernel) -> DefectReport:
     sums = np.empty(n, dtype=np.float64)  # and the sum of its terms
 
     @_in_range
-    def scan(xs: range) -> None:
+    def scan(xs: range, k: int = 0) -> None:  # k: sums of the terms times 2^-k
         out = _slab_buffers(n)  # one set per worker, reused for each of its slabs
         for x in xs:
             D = slab(x, out)
             args[x] = D.argmax()
             vals[x] = D.flat[args[x]]
-            sums[x] = D.sum()
+            sums[x] = (np.ldexp(D, -k, out=D) if k else D).sum()
 
     workers = min(thread_limit(), n)
     if workers > 1 and n >= _PARALLEL_MIN_SIZE:
@@ -204,7 +199,12 @@ def sincov_defect(kernel: FiniteKernel) -> DefectReport:
             "products or norms of the kernel values overflow float64"
         )
     best_val = float(vals[x])
-    mean = min(float(np.sum(sums)) / (n * n * n), best_val)
+    mean = float(np.sum(sums)) / n**3
+    if not math.isfinite(mean):  # a sum overflowed: sum the n^3 terms again at 2^-k < n^-3
+        k = (n**3).bit_length()
+        scan(range(n), k)
+        mean = float(np.ldexp(np.sum(sums) / n**3, k))
+    mean = min(mean, best_val)
     return DefectReport(
         defect=best_val,
         argmax_triple=(labels[a], labels[x], labels[b]),
@@ -219,15 +219,6 @@ def is_exact(kernel: FiniteKernel, tol: float) -> bool:
     return sincov_defect(kernel).defect <= tol
 
 
-def _resolve_defect(kernel: FiniteKernel, defect: float | None) -> float:
-    """A given defect, finite and nonnegative, or the kernel's from a defect pass."""
-    if defect is None:
-        return sincov_defect(kernel).defect
-    if not (math.isfinite(defect) and defect >= 0):
-        raise KernelError(f"defect must be finite and nonnegative, got {float(defect)!r}")
-    return float(defect)
-
-
 @_in_range
 def _run_checks(kernel, families, ref=None, *, defect=None, tol=None, at=None) -> list[BoundCheck]:
     """Each family's checks in turn, against one tolerance and one defect c.
@@ -238,7 +229,9 @@ def _run_checks(kernel, families, ref=None, *, defect=None, tol=None, at=None) -
     tolv = check_tolerance(kernel, tol)
     i0 = None if ref is None else kernel.index(ref)
     ix = None if at is None else kernel.index(at)
-    c = _resolve_defect(kernel, defect)
+    if defect is not None and not (math.isfinite(defect) and defect >= 0):
+        raise KernelError(f"defect must be finite and nonnegative, got {float(defect)!r}")
+    c = sincov_defect(kernel).defect if defect is None else float(defect)
     checks = [check for sides in families for check in _checks(*sides(kernel, i0, c), tolv)]
     return checks if ix is None else [checks[ix]]
 
@@ -308,15 +301,15 @@ def _factorization(kernel: FiniteKernel, reference, f_vec, g_vec) -> Factorizati
     )
 
 
-def _gauge_sides(kernel: FiniteKernel, i0: int, c: float, *, skip_vanishing: bool = False):
+def _gauge_sides(kernel: FiniteKernel, i0: int, c: float, *, operation: str | None = None):
     """|g(x) f(x) - 1| and its defect-driven bound (see gauge_error_bound)
     for every x at once, with f = F(., x0) and g = F(x0, .).  Slices that
-    vanish somewhere raise KernelError, or give no checks with skip_vanishing."""
+    vanish somewhere give no checks, or raise KernelError naming operation."""
     f, g = kernel.table[:, i0], kernel.table[i0, :]
     if not (f.all() and g.all()):
-        if skip_vanishing:
+        if operation is None:
             return [], [], [], []
-        raise KernelError("gauge_error_bound: slice maps must not vanish")
+        raise KernelError(f"{operation}: slice maps must not vanish")
     norms = kernel.entry_norms()
     absf, absg = norms[:, i0], norms[i0, :]
     fmax, gmax = absf.max(), absg.max()
@@ -327,7 +320,6 @@ def _gauge_sides(kernel: FiniteKernel, i0: int, c: float, *, skip_vanishing: boo
     return names, _gauge_deviation(f, g), rhs, [(lab,) for lab in kernel.labels]
 
 
-@_in_range
 def gauge_error_bound(kernel: FiniteKernel, x0: str, x: str, c: float) -> float:
     """Smallest over (a, b) of the defect-driven bound on |g(x) f(x) - 1|:
 
@@ -335,24 +327,25 @@ def gauge_error_bound(kernel: FiniteKernel, x0: str, x: str, c: float) -> float:
 
     with f = F(., x0) and g = F(x0, .), evaluated as
     (c / |f(a)|) ((c + 2) / |g(b)|) + c (|f(x)|/|f(a)|) + c (|g(x)|/|g(b)|).
-    Requires nonvanishing slices.
+    It is the rhs of gauge_bound's check, so it requires nonvanishing slices,
+    and a side of that check beyond float64 range raises KernelError.
 
     Every term is non-increasing in |f(a)| and in |g(b)|, and IEEE multiply,
     divide and add round monotonically, so the minimum over the (a, b) grid
     is the expression at a = argmax |f|, b = argmax |g|, bit for bit.  The
     bound for all x is therefore one O(n) vector.
     """
-    _require_complex(kernel, "gauge_error_bound")
-    i0, ix = kernel.index(x0), kernel.index(x)
-    return float(_gauge_sides(kernel, i0, _resolve_defect(kernel, c))[2][ix])
+    return gauge_bound(kernel, x0, x, defect=c, tol=0.0, _operation="gauge_error_bound").rhs
 
 
 def gauge_bound(
-    kernel: FiniteKernel, x0: str, x: str, *, defect: float | None = None, tol: float | None = None
+    kernel: FiniteKernel, x0: str, x: str, *, defect: float | None = None, tol: float | None = None,
+    _operation: str = "gauge_bound",
 ) -> BoundCheck:
     """Check |g(x) f(x) - 1| against its defect-driven bound at (x0, x)."""
-    _require_complex(kernel, "gauge_bound")
-    return _run_checks(kernel, [_gauge_sides], x0, defect=defect, tol=tol, at=x)[0]
+    _require_complex(kernel, _operation)
+    sides = functools.partial(_gauge_sides, operation=_operation)
+    return _run_checks(kernel, [sides], x0, defect=defect, tol=tol, at=x)[0]
 
 
 def _diagonal_sides(kernel: FiniteKernel, i0, c: float):
@@ -363,7 +356,7 @@ def _diagonal_sides(kernel: FiniteKernel, i0, c: float):
     spread = norm(*(d[:, None] - d[None, :] for d in diag))
     products = mul(*parts, *(p.T for p in parts))
     product = norm(*(q - d[:, None] for q, d in zip(products, diag)))
-    diag_norm = norm(*diag)
+    diag_norm = np.diagonal(kernel.entry_norms())
     (i, j), (k, m) = (divmod(int(grid.argmax()), kernel.n) for grid in (spread, product))
     return (
         ["diag_spread", "diag_product", "diag_bound"],
@@ -464,8 +457,7 @@ def bound_suite(
     """
     families = [_slice_sides, _diagonal_sides]
     if kernel.value_kind == COMPLEX:
-        gauge = functools.partial(_gauge_sides, skip_vanishing=True)
-        families += [_unit_diag_sides, _growth_sides, gauge]
+        families += [_unit_diag_sides, _growth_sides, _gauge_sides]
     return _run_checks(kernel, families, ref, defect=defect, tol=tol)
 
 

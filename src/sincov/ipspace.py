@@ -26,8 +26,8 @@ import numpy as np
 
 from .analysis import sincov_defect
 from .kernel import (
-    COMPLEX, FiniteKernel, KernelFormatError, _gc_paused, _in_range, _is_number, _parse, _reals, _scaled,
-    _spread,
+    COMPLEX, FiniteKernel, KernelFormatError, _finite_sides, _gc_paused, _in_range, _is_number, _parse,
+    _reals, _scaled, _spread,
 )
 
 REAL_FIELD = "real"
@@ -145,19 +145,11 @@ def _sides(ra, rb, rx) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     }
 
 
-def _finite_sides(name: str, lhs: np.ndarray, rhs: np.ndarray) -> None:
-    bad = ~(np.isfinite(lhs) & np.isfinite(rhs))
-    if bad.any():
-        k = int(bad.argmax())
-        raise VectorError(f"non-finite side in {name}: lhs {float(lhs[k])}, "
-                          f"rhs {float(rhs[k])}; a value leaves float64 range")
-
-
 def _margin(name: str, a: IPVector, b: IPVector, x: IPVector) -> InequalityMargin:
     """The InequalityMargin of inequality `name` at one triple."""
     _check_compatible(a, b, x)
     lhs, rhs = _sides(*(_rows(v.as_array()[None]) for v in (a, b, x)))[name]
-    _finite_sides(name, lhs, rhs)
+    _finite_sides(VectorError, lambda k: name, lhs, rhs)
     return InequalityMargin(name, float(lhs[0]), float(rhs[0]), float(rhs[0] - lhs[0]))
 
 
@@ -272,7 +264,7 @@ def margin_sweep(dim: int, count: int, field: str, seed: int) -> SweepResult:
     min_margins: dict[str, float] = {}
     margins_hold = True
     for name, (lhs, rhs) in _sides(ra, rb, rx).items():
-        _finite_sides(name, lhs, rhs)
+        _finite_sides(VectorError, lambda k: name, lhs, rhs)
         margin = rhs - lhs
         min_margins[name] = float(margin.min())
         margins_hold = margins_hold and bool(np.all(margin >= -MARGIN_TOL * (1.0 + rhs)))

@@ -81,6 +81,16 @@ def _in_range(fn):
     return run
 
 
+def _finite_sides(error, name, lhs: np.ndarray, rhs: np.ndarray) -> None:
+    """Raise error for the first k at which lhs[k] or rhs[k] is not finite,
+    as a side of name(k): a value left float64 range."""
+    bad = ~(np.isfinite(lhs) & np.isfinite(rhs))
+    if bad.any():
+        k = int(bad.argmax())
+        raise error(f"non-finite side in {name(k)}: lhs {float(lhs[k])}, "
+                    f"rhs {float(rhs[k])}; a value leaves float64 range")
+
+
 def _scaled(comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(comps 2^-e, e) for rows of real components along the last axis: e puts
     the row's largest component modulus in [0.5, 1), and is 0 for a zero row.
@@ -385,7 +395,8 @@ def point_label(x: float) -> str:
 
 @_in_range
 def _ratio_table(f: np.ndarray) -> np.ndarray:
-    """f(u) / f(v) for a real or complex f with no zero.  A quotient that is not
+    """f(u) / f(v) for a real or complex f with no zero; for real f each quotient
+    is one real division, so it is correctly rounded.  A quotient that is not
     finite (complex division by a subnormal gives inf+nanj) is recomputed as
     m(u) / m(v) 2^(e_u - e_v), with m = f 2^-e of largest component modulus in
     [0.5, 1), and replaced where that is finite; finite quotients keep their bits."""
@@ -443,11 +454,14 @@ class GeneratorSpec:
         return val
 
     def _param(self, field: str, dtype, ndim: int = 0) -> np.ndarray:
-        """The parameter as an array of dtype with ndim axes, under the value rule."""
+        """The parameter as an array of dtype with ndim axes, all finite, under the
+        value rule."""
         val = _numbers(self._need(field), dtype, f"{self.variant}: {field}")
         if val.ndim != ndim:
             shape = ("one number", "a sequence of numbers")[ndim]
             raise KernelError(f"{self.variant}: {field} must be {shape}")
+        if not np.isfinite(val).all():
+            raise KernelError(f"{self.variant}: {field} must be finite")
         return val
 
     def _positive_int(self, field: str, minimum: int) -> int:
@@ -462,18 +476,16 @@ class GeneratorSpec:
 
     def _real(self, field: str, *, positive: bool) -> float:
         val = self._param(field, np.float64).item()
-        if not (math.isfinite(val) and (val > 0 if positive else val >= 0)):
+        if not (val > 0 if positive else val >= 0):
             sign = "positive" if positive else "nonnegative"
             raise KernelError(f"{self.variant}: {field} must be a {sign} finite real")
         return val
 
     def _points(self) -> np.ndarray:
-        """At least one finite sample point, no two alike (nor their labels)."""
+        """At least one sample point, no two alike (nor their labels)."""
         pts = np.asarray(self._need("samples"), dtype=np.float64)
         if pts.size == 0:
             raise KernelError(f"{self.variant}: needs at least one sample")
-        if not np.all(np.isfinite(pts)):
-            raise KernelError(f"{self.variant}: non-finite sample")
         if len(set(pts.tolist())) != pts.size:
             raise KernelError(f"{self.variant}: duplicate sample points")
         return pts
@@ -486,27 +498,17 @@ def _filled(size: int, value: complex):
     return tuple(f"x{i}" for i in range(size)), COMPLEX, np.full((size, size), value, np.complex128)
 
 
-def _quotients(pts: np.ndarray, c: float = 0.0):
-    """F(a, b) = a / (b + c) on the points."""
-    table = (pts[:, None] / (pts[None, :] + c)).astype(np.complex128)
-    return tuple(map(point_label, pts)), COMPLEX, table
-
-
 def _constant(spec: GeneratorSpec):
     value = spec._param("value", np.complex128).item()
-    if not np.isfinite(value):
-        raise KernelError("constant: value must be finite")
     size = spec._positive_int("size", 1)
     return lambda: _filled(size, value)
 
 
 def _ratio(spec: GeneratorSpec):
-    pts = spec._points()
-    f = np.asarray(pts if spec.f_values is None else spec.f_values, dtype=np.complex128)
+    pts = spec._points()  # real samples give real f, and so real division in _ratio_table
+    f = pts if spec.f_values is None else np.asarray(spec.f_values)
     if f.shape != pts.shape:
         raise KernelError(f"{spec.variant}: f_values must match samples in length")
-    if not np.isfinite(f).all():
-        raise KernelError(f"{spec.variant}: non-finite f value")
     if not f.all():
         raise KernelError(f"{spec.variant}: f values must be nonzero")
     return lambda: (tuple(map(point_label, pts)), COMPLEX, _ratio_table(f))
@@ -514,14 +516,19 @@ def _ratio(spec: GeneratorSpec):
 
 def _e1(spec: GeneratorSpec):
     n, c = spec._positive_int("n", 2), spec._real("c", positive=True)
-    return lambda: _quotients(np.arange(n, n * n + 1, dtype=np.float64), c)
+
+    def make():  # F(a, b) = a / (b + c)
+        pts = np.arange(n, n * n + 1, dtype=np.float64)
+        return tuple(map(point_label, pts)), COMPLEX, pts[:, None] / (pts[None, :] + c)
+
+    return make
 
 
 def _e0(spec: GeneratorSpec):
     pts = spec._points()
     if np.any(pts < 1.0):
         raise KernelError("e0: samples must lie in [1, inf)")
-    return lambda: _quotients(pts)
+    return lambda: (tuple(map(point_label, pts)), COMPLEX, _ratio_table(pts))
 
 
 def _mat2_ratio(spec: GeneratorSpec):
@@ -530,7 +537,7 @@ def _mat2_ratio(spec: GeneratorSpec):
         raise KernelError("mat2_ratio: samples must be positive")
 
     def make():  # F(u, v) = [[u/v, 0], [0, c0]]
-        r = pts[:, None] / pts[None, :]
+        r = _ratio_table(pts)
         table = np.stack(np.broadcast_arrays(r, 0.0, 0.0, c0), axis=-1).reshape(r.shape + (2, 2))
         return tuple(map(point_label, pts)), MAT2, table
 

@@ -165,8 +165,10 @@ def test_gauge_bound_perturbed_example():
 def test_gauge_bound_requires_nonvanishing_slices():
     table = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
     kernel = FiniteKernel(("a", "b"), "complex", table)
-    with pytest.raises(KernelError, match="vanish"):
+    with pytest.raises(KernelError, match="^gauge_error_bound: slice maps must not vanish$"):
         gauge_error_bound(kernel, "a", "b", 1.0)
+    with pytest.raises(KernelError, match="^gauge_bound: slice maps must not vanish$"):
+        gauge_bound(kernel, "a", "b", defect=1.0)
 
 
 def test_gauge_error_bound_shrinks_with_domain_size():
@@ -315,6 +317,8 @@ def test_non_finite_check_sides_raise_kernel_error():
     tiny = FiniteKernel(("a", "b"), "complex", np.full((2, 2), 1e-309 + 0j))
     with pytest.raises(KernelError, match=r"check gauge\[a\]: lhs 1.0, rhs inf"):
         bound_suite(tiny, "a")  # the exact bound, about 2/1e-309, leaves float64 range
+    with pytest.raises(KernelError, match=r"check gauge\[a\]: lhs 1.0, rhs inf"):
+        gauge_error_bound(tiny, "a", "b", None)  # that bound is gauge_error_bound's result
     # f = F(., a) = (1e-200, 1e200) does not vanish, but f(b)/f(a) overflows
     spread = FiniteKernel(("a", "b"), "complex", np.array([[1e-200, 1e-200], [1e200, 1.0]]))
     with pytest.raises(KernelError, match="non-finite factorization: gauge_error 1.0, residual inf"):

@@ -193,6 +193,16 @@ def test_input_errors_exit_three(tmp_path, capsys):
         assert out == ""
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--example", "e0", "--samples", "1", "inf"], "e0: samples must be finite"),
+    (["--example", "constant", "--value", "inf", "--size", "2"], "constant: value must be finite"),
+])
+def test_gen_non_finite_parameters_exit_three(capsys, argv, message):
+    code, out, err = run(["gen", *argv], capsys)
+    assert (code, out) == (3, "")
+    assert f"sincov: error: input: {message}" in err
+
+
 def test_output_to_stdout_when_no_file(tmp_path, capsys):
     kpath = str(tmp_path / "k.json")
     run(["gen", "--example", "ratio", "--samples", "1", "2", "-o", kpath], capsys)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -181,3 +183,15 @@ def test_in_range_defect_matches_the_exact_oracle(monkeypatch, name, threads):
     assert abs(report.defect - exact) <= 1e-15 * exact
     a, x, b = (kernel.index(lab) for lab in report.argmax_triple)
     assert defect_term(kernel.entry(a, x), kernel.entry(x, b), kernel.entry(a, b)) == report.defect
+
+
+def test_mean_defect_when_a_slab_sum_overflows():
+    # three terms near 1e308: their sum leaves float64 range, their mean does not
+    table = np.full((8, 8), 1e-3 + 0j)
+    table[0, 1] = table[1, 0] = table[2, 1] = 1e154
+    kernel = FiniteKernel(tuple("abcdefgh"), "complex", table)
+    terms = [defect_term(kernel.entry(a, x), kernel.entry(x, b), kernel.entry(a, b))
+             for a in range(8) for x in range(8) for b in range(8)]
+    mean = float(sum(map(Fraction, terms)) / len(terms))
+    assert mean == 5.859375e305
+    assert sincov_defect(kernel).mean_defect == mean

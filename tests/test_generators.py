@@ -1,5 +1,10 @@
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sincov import GeneratorSpec, KernelError, generate, point_label
 
@@ -131,6 +136,11 @@ def test_scale_invariance_of_ratio_kernels():
         (dict(variant="perturbed_ratio", samples=(1.0, 2.0), eps=0.1, seed="x"), "seed"),
         (dict(variant="e1", n=float("inf"), c=1.0), "integer"),
         (dict(variant="no_such_variant"), "variant"),
+        (dict(variant="constant", value=float("inf"), size=2), "must be finite"),
+        (dict(variant="ratio", samples=(float("nan"),)), "must be finite"),
+        (dict(variant="ratio", samples=(1.0,), f_values=(float("inf"),)), "must be finite"),
+        (dict(variant="mat2_ratio", c0=float("nan"), samples=(1.0,)), "must be finite"),
+        (dict(variant="perturbed_ratio", samples=(1.0, 2.0), eps=float("inf")), "must be finite"),
     ],
 )
 def test_generator_validation(spec_kwargs, match):
@@ -164,3 +174,31 @@ def test_generator_parameters_follow_the_value_rule(spec_kwargs):
     """Only numbers are parameters: text, booleans and complex reals raise KernelError."""
     with pytest.raises(KernelError):
         GeneratorSpec(**spec_kwargs)
+
+
+def test_e0_and_ratio_build_equal_tables():
+    rng = np.random.default_rng(5)
+    samples = tuple(float(p) for p in rng.uniform(1.0, 10.0, 60))
+    e0, ratio = (generate(GeneratorSpec(variant, samples=samples)) for variant in ("e0", "ratio"))
+    assert np.array_equal(e0.table, ratio.table)
+
+
+@pytest.mark.parametrize("variant", ["ratio", "e0", "mat2_ratio"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_real_quotients_are_correctly_rounded(variant, data):
+    """Every u/v of a real-sample generator is the exact quotient rounded once,
+    wherever that is inside float64 range."""
+    low = 1.0 if variant == "e0" else 5e-324
+    samples = data.draw(st.lists(st.floats(min_value=low, max_value=sys.float_info.max),
+                                 min_size=1, max_size=5, unique=True))
+    try:
+        exact = [[float(Fraction(u) / Fraction(v)) for v in samples] for u in samples]
+    except OverflowError:  # a quotient beyond float64 range
+        assume(False)
+    if variant == "mat2_ratio":
+        table = generate(GeneratorSpec(variant, c0=1.0, samples=tuple(samples))).table
+        assert table[..., 0, 0].tolist() == exact
+    else:
+        table = generate(GeneratorSpec(variant, samples=tuple(samples))).table
+        assert table.real.tolist() == exact and not table.imag.any()
