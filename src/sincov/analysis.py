@@ -44,7 +44,7 @@ import numpy as np
 
 from .kernel import (
     _KINDS, COMPLEX, FiniteKernel, KernelError, _cmul, _cnorm, _components, _finite_sides, _in_range,
-    _ratio_table,
+    _outer, _ratio_table,
 )
 
 TOL_SCALE = 1e-12
@@ -142,8 +142,8 @@ def _slab_function(kernel: FiniteKernel):
 
     def slab(x: int, out) -> np.ndarray:
         product_buffers, norm_buffers = out
-        products = mul(*(p[:, x][:, None] for p in parts), *(p[x, :][None, :] for p in parts),
-                       out=product_buffers)
+        products = mul(*(p[:, x] for p in parts), *(p[x, :] for p in parts),
+                       out=product_buffers, times=_outer)
         return norm(*(np.subtract(q, p, out=q) for q, p in zip(products, parts)), out=norm_buffers)
 
     return slab

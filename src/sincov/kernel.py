@@ -15,7 +15,7 @@ import json
 import math
 import threading
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 from numbers import Number
 from operator import itemgetter
@@ -60,13 +60,26 @@ class UnknownLabelError(KernelError):
 # into out[0], out[1], ... and its results are the first of them.  The scan
 # passes buffers that it reuses for every slab; without out= every step gets
 # a fresh result, as for Python floats.  _mul2x2 uses the most, five.
+#
+# The products also take times=, the multiply they apply to each pair of
+# components, np.multiply by default.  The defect scan multiplies a column
+# F(., x) by a row F(x, .) and passes _outer, which forms that outer product
+# in one pass where a broadcast multiply makes one inner-loop call per row.
 _UNBUFFERED = (None,) * 5
 
 
-def _cmul(ar, ai, br, bi, out=_UNBUFFERED):
+def _outer(col, row, out=None):
+    """The outer product col[i] row[j] of two 1-d arrays, into out.  einsum
+    adds each product to a zeroed output, so it equals np.multiply of the
+    broadcast operands, value and rounding, except that a product of -0.0
+    comes out as +0.0; a norm squares every component, so it cannot tell."""
+    return np.einsum("i,j->ij", col, row, out=out)
+
+
+def _cmul(ar, ai, br, bi, out=_UNBUFFERED, *, times=np.multiply):
     """Complex product in component form; out[2] is scratch."""
-    re = np.subtract(np.multiply(ar, br, out=out[0]), np.multiply(ai, bi, out=out[2]), out=out[0])
-    im = np.add(np.multiply(ar, bi, out=out[1]), np.multiply(ai, br, out=out[2]), out=out[1])
+    re = np.subtract(times(ar, br, out=out[0]), times(ai, bi, out=out[2]), out=out[0])
+    im = np.add(times(ar, bi, out=out[1]), times(ai, br, out=out[2]), out=out[1])
     return re, im
 
 
@@ -111,13 +124,20 @@ def _scaled(comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # are recomputed from their components scaled by the power of two that
 # puts the largest component modulus in [0.5, 1), where the result lies in
 # [0.5, 2] and so inside the window, and ldexp scales that result back: it
-# overflows or underflows only when the norm itself does.
+# overflows or underflows only when the norm itself does.  A value whose
+# components are all zero keeps r = 0, which is exact, without the rescale.
 #
 #   complex, r^2 = re^2 + im^2:  r <= 2^480 keeps each square under 2^960,
 #     and r >= 2^-480 puts the larger square above 2^-961.
-#   mat2, q = sigma1^2 + sigma2^2 <= 2 r^2 and |det| = sigma1 sigma2 <= r^2:
-#     r <= 2^240 keeps q^2 and 4 det^2 under 2^962, and r >= 2^-240 puts
-#     q above 2^-480 and q^2 above 2^-960.
+#   mat2, r = (r1 + r2) / 2 with r1, r2 the moduli of (m00 + m11, m10 - m01)
+#     and (m00 - m11, m10 + m01), so r1, r2 <= 2r, and the larger of them is
+#     at least r.  r <= 2^480 keeps each square under 2^962.  r >= 2^-420
+#     puts the larger modulus's larger square above 2^-841.  The smaller
+#     modulus loses bits to underflow only when both its squares are under
+#     2^-962, so that it is under 2^-480.5, below 2^-60 of the larger
+#     modulus: it rounds away in r1 + r2, at this scale and at any other.
+#     The sums and differences of components are exact wherever they fall
+#     below 2^-1022, so they lose nothing to underflow.
 
 def _range_guarded(lo: float, hi: float):
     """Decorate a norm formula with the range guard for the window [lo, hi]."""
@@ -128,7 +148,8 @@ def _range_guarded(lo: float, hi: float):
         def norm(*parts, out=_UNBUFFERED):
             r = np.asarray(formula(*parts, out=out))
             if not (r.min() >= lo and r.max() <= hi):  # false on NaN
-                outside = ~((r >= lo) & (r <= hi))
+                nonzero = functools.reduce(np.logical_or, [np.not_equal(p, 0.0) for p in parts])
+                outside = ~((r >= lo) & (r <= hi)) & nonzero  # NaN is nonzero
                 comps = np.stack([np.broadcast_to(p, r.shape)[outside] for p in parts], axis=-1)
                 scaled, e = _scaled(comps)
                 r[outside] = np.ldexp(formula(*scaled.T), e)
@@ -139,19 +160,22 @@ def _range_guarded(lo: float, hi: float):
     return guard
 
 
-@_range_guarded(2.0**-480, 2.0**480)
-def _cnorm(re, im, out=_UNBUFFERED):
-    """Modulus of a complex value in component form; out[1] is scratch."""
+def _modulus(re, im, out=_UNBUFFERED):
+    """Modulus sqrt(re^2 + im^2) of a complex value in component form; out[1]
+    is scratch."""
     sq = np.multiply(re, re, out=out[0])
     sq = np.add(sq, np.multiply(im, im, out=out[1]), out=out[0])
     return np.sqrt(sq, out=out[0])
 
 
-def _mul2x2(a00, a01, a10, a11, b00, b01, b10, b11, out=_UNBUFFERED):
+_cnorm = _range_guarded(2.0**-480, 2.0**480)(_modulus)  # _norm2x2 takes two bare moduli under its guard
+
+
+def _mul2x2(a00, a01, a10, a11, b00, b01, b10, b11, out=_UNBUFFERED, *, times=np.multiply):
     """2x2 matrix product in component form; out[4] is scratch."""
 
     def dot(k, x, y, z, w):  # x * y + z * w
-        return np.add(np.multiply(x, y, out=out[k]), np.multiply(z, w, out=out[4]), out=out[k])
+        return np.add(times(x, y, out=out[k]), times(z, w, out=out[4]), out=out[k])
 
     return (
         dot(0, a00, b00, a01, b10),
@@ -161,24 +185,27 @@ def _mul2x2(a00, a01, a10, a11, b00, b01, b10, b11, out=_UNBUFFERED):
     )
 
 
-@_range_guarded(2.0**-240, 2.0**240)
+@_range_guarded(2.0**-420, 2.0**480)
 def _norm2x2(m00, m01, m10, m11, out=_UNBUFFERED):
     """Largest singular value of a real 2x2 matrix, in component form; out[1]
     and out[2] are scratch.
 
-    Closed form from the two Frobenius invariants (squared Frobenius norm
-    and determinant); no iterative factorization:
-      q = m00^2 + m01^2 + m10^2 + m11^2,  det = m00 m11 - m01 m10,
-      norm = sqrt(0.5 (q + sqrt(max(q^2 - 4 det^2, 0)))).
+    M is the sum of a scaled rotation and a scaled reflection (J. Blinn,
+    "Consider the lowly 2x2 matrix", IEEE CG&A 1996):
+      M = 1/2 [[p, -q], [q, p]] + 1/2 [[s, t], [t, -s]],
+      p = m00 + m11, q = m10 - m01, s = m00 - m11, t = m10 + m01,
+    and its singular values are (r1 + r2) / 2 and |r1 - r2| / 2, with
+    r1 = |(p, q)| and r2 = |(s, t)|.  Both moduli are sums of squares, so
+    nothing cancels.  Each of p, q, s, t, their squares and the two sums of
+    squares rounds once, which puts a squared modulus within a relative
+    gamma_4 and its root, rounded once more, within gamma_3; the sum r1 + r2
+    of nonnegative terms rounds once and the halving is exact.  So inside the
+    guard's window the result is within a relative gamma_4 = 4u / (1 - 4u)
+    (u = 2^-53) of the exact norm.
     """
-    q = np.multiply(m00, m00, out=out[0])
-    for m in (m01, m10, m11):
-        q = np.add(q, np.multiply(m, m, out=out[1]), out=out[0])
-    det = np.subtract(np.multiply(m00, m11, out=out[1]), np.multiply(m01, m10, out=out[2]), out=out[1])
-    det4 = np.multiply(4.0, np.multiply(det, det, out=out[1]), out=out[1])
-    disc = np.subtract(np.multiply(q, q, out=out[2]), det4, out=out[2])
-    disc = np.sqrt(np.maximum(disc, 0.0, out=out[2]), out=out[2])
-    return np.sqrt(np.multiply(0.5, np.add(q, disc, out=out[0]), out=out[0]), out=out[0])
+    r1 = _modulus(np.add(m00, m11, out=out[0]), np.subtract(m10, m01, out=out[1]), out=(out[0], out[1]))
+    r2 = _modulus(np.subtract(m00, m11, out=out[1]), np.add(m10, m01, out=out[2]), out=(out[1], out[2]))
+    return np.multiply(0.5, np.add(r1, r2, out=out[0]), out=out[0])
 
 
 # A value is stored as dtype with shape; its float64 view holds its components in
@@ -442,13 +469,23 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.variant not in GENERATOR_VARIANTS:
             raise KernelError(f"unknown generator variant {self.variant!r}")
+        object.__setattr__(self, "_read", set())  # the parameters the variant reads
         for field, dtype in (("samples", np.float64), ("f_values", np.complex128)):
             if getattr(self, field) is not None:
                 object.__setattr__(self, field, tuple(self._param(field, dtype, 1).tolist()))
+        self._read.clear()
         _GENERATORS[self.variant](self)
+        for field in fields(self)[1:]:
+            if getattr(self, field.name) is not None and field.name not in self._read:
+                raise KernelError(f"{self.variant}: unexpected parameter {field.name!r}")
+
+    def _given(self, field: str):
+        """The parameter, or None if it is not given; the variant reads it."""
+        self._read.add(field)
+        return getattr(self, field)
 
     def _need(self, field: str):
-        val = getattr(self, field)
+        val = self._given(field)
         if val is None:
             raise KernelError(f"{self.variant}: parameter {field!r} is required")
         return val
@@ -506,7 +543,7 @@ def _constant(spec: GeneratorSpec):
 
 def _ratio(spec: GeneratorSpec):
     pts = spec._points()  # real samples give real f, and so real division in _ratio_table
-    f = pts if spec.f_values is None else np.asarray(spec.f_values)
+    f = pts if spec._given("f_values") is None else np.asarray(spec.f_values)
     if f.shape != pts.shape:
         raise KernelError(f"{spec.variant}: f_values must match samples in length")
     if not f.all():
@@ -554,7 +591,7 @@ def _perturbed_ratio(spec: GeneratorSpec):
     eps = spec._real("eps", positive=False)
     if not math.isfinite(2.0 * eps):  # the width of the range delta is drawn from
         raise KernelError("perturbed_ratio: 2*eps must be finite")
-    seed = 0 if spec.seed is None else spec._positive_int("seed", 0)
+    seed = 0 if spec._given("seed") is None else spec._positive_int("seed", 0)
 
     def make():
         labels, kind, table = ratio()

@@ -203,6 +203,16 @@ def test_gen_non_finite_parameters_exit_three(capsys, argv, message):
     assert f"sincov: error: input: {message}" in err
 
 
+@pytest.mark.parametrize("argv,field", [
+    (["--example", "e1", "--n", "2", "--c", "1", "--eps", "0.5"], "eps"),
+    (["--example", "constant", "--value", "1", "--size", "2", "--samples", "3"], "samples"),
+])
+def test_gen_parameters_the_variant_does_not_read_exit_three(capsys, argv, field):
+    code, out, err = run(["gen", *argv], capsys)
+    assert (code, out) == (3, "")
+    assert f"sincov: error: input: {argv[1]}: unexpected parameter '{field}'" in err
+
+
 def test_output_to_stdout_when_no_file(tmp_path, capsys):
     kpath = str(tmp_path / "k.json")
     run(["gen", "--example", "ratio", "--samples", "1", "2", "-o", kpath], capsys)

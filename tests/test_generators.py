@@ -176,6 +176,37 @@ def test_generator_parameters_follow_the_value_rule(spec_kwargs):
         GeneratorSpec(**spec_kwargs)
 
 
+@pytest.mark.parametrize(
+    "spec_kwargs, field",
+    [
+        (dict(variant="e0", samples=(1, 2), f_values=(5, 7)), "f_values"),
+        (dict(variant="constant", value=1, size=2, samples=(3,)), "samples"),
+        (dict(variant="e1", n=2, c=1, eps=0.5, seed=3), "eps"),
+        (dict(variant="ratio", samples=(1.0, 2.0), seed=0), "seed"),
+        (dict(variant="mat2_ratio", c0=2.0, samples=(1.0,), c=1.0), "c"),
+        (dict(variant="moszner", n=2, size=2, value=0.5), "value"),
+    ],
+    ids=repr,
+)
+def test_a_parameter_the_variant_does_not_read_raises(spec_kwargs, field):
+    message = f"{spec_kwargs['variant']}: unexpected parameter '{field}'"
+    with pytest.raises(KernelError, match=f"^{message}$"):
+        GeneratorSpec(**spec_kwargs)
+
+
+def test_every_documented_parameter_is_read():
+    for spec in (
+        GeneratorSpec("constant", value=1.0, size=2),
+        GeneratorSpec("ratio", samples=(1.0, 2.0), f_values=(1.0, 3.0)),
+        GeneratorSpec("e1", n=2, c=1.0),
+        GeneratorSpec("e0", samples=(1.0, 2.0)),
+        GeneratorSpec("mat2_ratio", c0=2.0, samples=(1.0, 2.0)),
+        GeneratorSpec("moszner", n=2, size=2),
+        GeneratorSpec("perturbed_ratio", samples=(1.0, 2.0), f_values=(1.0, 3.0), eps=0.1, seed=3),
+    ):
+        assert generate(spec).n >= 2
+
+
 def test_e0_and_ratio_build_equal_tables():
     rng = np.random.default_rng(5)
     samples = tuple(float(p) for p in rng.uniform(1.0, 10.0, 60))

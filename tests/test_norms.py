@@ -6,9 +6,10 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -46,6 +47,10 @@ def _value(kind: str, parts) -> AlgebraValue:
 
 @settings(max_examples=300, deadline=None)
 @given(KINDS, st.lists(CLOSE_REALS, min_size=4, max_size=4), st.integers(-900, 900))
+# scaled by 2^-600, the norm is about 1.5 2^-480 and the smaller modulus, a,
+# has a square below 2^-1022 that rounds; a + 3 2^-480 lies next to a rounding
+# boundary, so without the rescale the lost bits of that square decide it
+@example("mat2", [math.ldexp(2048.5 * 2.0**-531 + 2.0**-572, 600), 1.5 * 2.0**120, 1.5 * 2.0**120, 0.0], -600)
 def test_norms_scale_by_powers_of_two_bit_for_bit(kind, parts, k):
     norm, width = NORMS[kind]
     parts = parts[:width]
@@ -74,6 +79,49 @@ def test_scalar_and_array_norms_agree_bit_for_bit(kind, values):
     values = [v[:width] for v in values]
     arrays = [np.array(column) for column in zip(*values)]
     assert [_value(kind, v).norm for v in values] == norm(*arrays).tolist()
+
+
+# mat2 values with component exponents in about +-300 decimal: independent
+# components, and near-rotations and near-reflections (a scaled rotation or
+# reflection plus relative noise of 2^-60 to 2^-10), whose two singular values
+# are close; there the old Frobenius-invariant form lost half its digits
+def _near_conformal(scale: int, angle: float, reflect: bool, noise, j: int) -> list:
+    c, s = math.cos(angle), math.sin(angle)
+    base = (c, s, s, -c) if reflect else (c, -s, s, c)
+    return [math.ldexp(b + math.ldexp(e, -j), scale) for b, e in zip(base, noise)]
+
+
+EXPONENT = st.integers(-996, 996)  # 2^996 is about 10^300
+MAT2_VALUES = st.lists(
+    st.builds(lambda m, e: math.ldexp(m, e), st.floats(-1.0, 1.0), EXPONENT), min_size=4, max_size=4
+) | st.builds(
+    _near_conformal, EXPONENT, st.floats(0.0, 2 * math.pi), st.booleans(),
+    st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4), st.integers(10, 60),
+)
+GAMMA_4 = 4 * 2.0**-53 / (1 - 4 * 2.0**-53)
+
+
+def _svd_norm(parts) -> mpmath.mpf:
+    """The largest singular value, from mpmath's SVD at 40 digits."""
+    with mpmath.workdps(40):
+        m = mpmath.matrix([[mpmath.mpf(parts[0]), mpmath.mpf(parts[1])],
+                           [mpmath.mpf(parts[2]), mpmath.mpf(parts[3])]])
+        return max(mpmath.svd_r(m, compute_uv=False))
+
+
+@settings(max_examples=400, deadline=None)
+@given(MAT2_VALUES)
+# a near-rotation that the Frobenius-invariant form got 1.1e-8 wrong
+@example([-4.281430777820452, -0.36805166151587115, 0.36805166427718494, -4.281430775759278])
+@example([2.0 + 1e-8, 0.0, 0.0, 2.0])
+@example([1.0, 0.0, 0.0, 1.0])
+@example([math.ldexp(1.0, -421), 0.0, 0.0, math.ldexp(-1.0, -421)])  # a reflection below the window
+def test_mat2_norm_is_within_gamma_4_of_the_exact_norm(parts):
+    # the bound derived in _norm2x2's docstring, wherever the norm is normal
+    exact = _svd_norm(parts)
+    assume(exact > 2.0**-1022)
+    got = mpmath.mpf(float(_norm2x2(*parts)))
+    assert abs(got - exact) <= GAMMA_4 * exact
 
 
 def _scaled_kernel(kind: str, n: int, seed: int, k: int) -> FiniteKernel:
@@ -108,9 +156,12 @@ def test_scan_terms_equal_the_scalar_defect_terms_at_any_scale(kernel):
     a, x, b = (kernel.index(lab) for lab in report.argmax_triple)
     assert defect_term(F(a, x), F(x, b), F(a, b)) == report.defect
     # relative to the largest products and entries, M^2 + M: a few roundings
-    # for complex; for mat2, q^2 - 4 det^2 cancels when the singular values
-    # are close, which costs the closed form up to half its digits
-    rel = 1e-14 if kernel.value_kind == "complex" else 2.0**-26
+    # for complex.  For mat2, with u = 2^-53, the computed product and
+    # difference are within 2 gamma_2 M^2 + sqrt(2) u (M^2 + M) of the exact
+    # matrix in the Frobenius norm, and the norm adds gamma_4, so a term is
+    # within 10u (M^2 + M) of the exact one; the brute-force oracle's matmul
+    # and LAPACK SVD have errors of the same order, so 32u bounds both
+    rel = 1e-14 if kernel.value_kind == "complex" else 2.0**-48
     slack = rel * (kernel.max_norm() ** 2 + kernel.max_norm())
     assert abs(report.defect - brute_force_defect(kernel)) <= slack
     assert abs(report.defect - exact_defect(kernel)) <= slack

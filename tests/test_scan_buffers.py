@@ -1,5 +1,6 @@
-"""The defect scan evaluates every slab in per-worker buffers; its reports must
-equal those of an unbuffered reference scan bit for bit."""
+"""The defect scan evaluates every slab in per-worker buffers, with its
+products formed as outer products in one pass; its reports must equal those
+of an unbuffered, broadcasting reference scan bit for bit."""
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from conftest import (
     unbuffered_defect_report,
     unbuffered_slabs,
 )
-from sincov import slice_residual, sincov_defect
+from sincov import GeneratorSpec, generate, slice_residual, sincov_defect
+from sincov.kernel import _outer
 
 SIZES = (1, 2, 63, 64, 65, 130)  # around the smallest size scanned in parallel
 RANDOM = {"complex": random_complex_kernel, "mat2": random_mat2_kernel}
@@ -54,3 +56,39 @@ def test_slice_residual_equals_the_reference_slab(kind):
         a, b = divmod(int(D.argmax()), kernel.n)
         assert check.lhs == D.max()
         assert check.witness == (kernel.labels[a], kernel.labels[b])
+
+
+SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-200, -3.5, 1.0,
+                    1e200, -1.7976931348623157e308, np.inf, -np.inf, np.nan])
+
+
+def test_outer_products_equal_broadcast_multiplies():
+    """Every product of zeros, subnormals, overflowing, infinite and NaN
+    operands; only the sign of a zero product may differ."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        want = np.multiply(SPECIAL[:, None], SPECIAL[None, :])
+        got = _outer(SPECIAL, SPECIAL, out=np.empty_like(want))
+    same = (got == want) | (np.isnan(got) & np.isnan(want))
+    assert same.all()
+    assert np.array_equal(np.signbit(got[got != 0]), np.signbit(want[want != 0]))
+
+
+# exact kernels: most terms are exactly zero, which the norms keep without
+# rescaling; e0 has a few rounding-sized terms among them
+EXACT_KERNELS = {
+    "constant": GeneratorSpec("constant", value=1.0, size=70),
+    "e0": GeneratorSpec("e0", samples=tuple(range(1, 71))),
+    "mat2_ratio": GeneratorSpec("mat2_ratio", c0=1.0, samples=tuple(range(1, 71))),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("name", sorted(EXACT_KERNELS))
+def test_exact_kernels_scan_to_the_unbuffered_report(monkeypatch, name, threads):
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    monkeypatch.setenv("SINCOV_THREADS", threads)
+    kernel = generate(EXACT_KERNELS[name])
+    expected = unbuffered_defect_report(kernel)
+    got = sincov_defect(kernel)
+    assert got == expected
+    assert got.mean_defect.hex() == expected.mean_defect.hex()
