@@ -36,8 +36,8 @@ import functools
 import json
 import math
 import os
+import threading
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -182,8 +182,25 @@ def sincov_defect(kernel: FiniteKernel) -> DefectReport:
     workers = min(thread_limit(), n)
     if workers > 1 and n >= _PARALLEL_MIN_SIZE:
         step = -(-n // workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(scan, [range(lo, min(lo + step, n)) for lo in range(0, n, step)]))
+        chunks = [range(lo, min(lo + step, n)) for lo in range(0, n, step)]
+        errors: list[BaseException | None] = [None] * len(chunks)
+
+        def scan_chunk(i: int) -> None:
+            try:
+                scan(chunks[i])
+            except BaseException as exc:  # kept for the caller, which re-raises it
+                errors[i] = exc
+
+        threads = [threading.Thread(target=scan_chunk, args=(i,)) for i in range(1, len(chunks))]
+        for thread in threads:
+            thread.start()
+        scan_chunk(0)  # the calling thread scans the first chunk
+        for thread in threads:
+            thread.join()
+        # a failed chunk left its slots of args, vals and sums unwritten
+        for exc in errors:
+            if exc is not None:
+                raise exc
     else:
         scan(range(n))
 
@@ -353,11 +370,14 @@ def _diagonal_sides(kernel: FiniteKernel, i0, c: float):
     mul, norm = _KINDS[kernel.value_kind].mul, _KINDS[kernel.value_kind].norm
     parts = _components(kernel.table, kernel.value_kind)
     diag = tuple(np.diagonal(p) for p in parts)
-    spread = norm(*(d[:, None] - d[None, :] for d in diag))
     products = mul(*parts, *(p.T for p in parts))
     product = norm(*(q - d[:, None] for q, d in zip(products, diag)))
+    k, m = divmod(int(product.argmax()), kernel.n)
+    if kernel.value_kind != COMPLEX:  # the other two need commuting values
+        return ["diag_product"], product[k, m], c, [(labels[k], labels[m])]
+    spread = norm(*(d[:, None] - d[None, :] for d in diag))
     diag_norm = np.diagonal(kernel.entry_norms())
-    (i, j), (k, m) = (divmod(int(grid.argmax()), kernel.n) for grid in (spread, product))
+    i, j = divmod(int(spread.argmax()), kernel.n)
     return (
         ["diag_spread", "diag_product", "diag_bound"],
         [spread[i, j], product[k, m], diag_norm.max()],
@@ -369,15 +389,16 @@ def _diagonal_sides(kernel: FiniteKernel, i0, c: float):
 def diagonal_report(
     kernel: FiniteKernel, *, defect: float | None = None, tol: float | None = None
 ) -> list[BoundCheck]:
-    """Three diagonal consequences of the defect bound, any value kind:
+    """The diagonal consequences of the defect bound:
 
-      diag_spread   max |F(a,a) - F(x,x)|            <= 2c
+      diag_spread   max |F(a,a) - F(x,x)|            <= 2c   (complex only)
       diag_product  max |F(a,x) F(x,a) - F(a,a)|     <= c
-      diag_bound    max |F(x,x)| <= min |F(a,a)| + 2c
+      diag_bound    max |F(x,x)| <= min |F(a,a)| + 2c        (complex only)
 
-    diag_product is itself a defect term.  The other two follow by the
-    triangle inequality when values commute; for mat2 kernels they are
-    computed and reported all the same.
+    diag_product is itself a defect term, so it holds for any value kind.
+    The other two follow by the triangle inequality only when values
+    commute, and fail on exact mat2 kernels, so mat2 kernels get
+    diag_product alone.
     """
     return _run_checks(kernel, [_diagonal_sides], defect=defect, tol=tol)
 
@@ -448,12 +469,13 @@ def bound_suite(
     """All applicable bound checks for one kernel, sharing one defect pass
     and one tolerance.
 
-    mat2 kernels get the kind-agnostic checks (slice residual, diagonal
-    report); complex kernels additionally get the unit-diagonal, growth,
-    and gauge checks.  Gauge checks need nonvanishing slices at ref and are
-    skipped otherwise.  Each family is built from whole arrays, and the
-    gauge bounds come in closed form at argmax |f| and argmax |g| (see
-    gauge_error_bound), so after the defect scan the suite costs O(n^2).
+    mat2 kernels get the kind-agnostic checks (slice residual and
+    diag_product); complex kernels get the whole diagonal report and, in
+    addition, the unit-diagonal, growth, and gauge checks.  Gauge checks
+    need nonvanishing slices at ref and are skipped otherwise.  Each family
+    is built from whole arrays, and the gauge bounds come in closed form at
+    argmax |f| and argmax |g| (see gauge_error_bound), so after the defect
+    scan the suite costs O(n^2).
     """
     families = [_slice_sides, _diagonal_sides]
     if kernel.value_kind == COMPLEX:

@@ -263,7 +263,7 @@ def test_bound_suite_equals_the_per_family_checks():
 def test_bound_suite_on_mat2_runs_kind_applicable_subset():
     kernel = generate(GeneratorSpec("mat2_ratio", c0=2.0, samples=(1.0, 2.0, 3.0)))
     names = [c.name for c in bound_suite(kernel, "1")]
-    assert names == ["slice_residual", "diag_spread", "diag_product", "diag_bound"]
+    assert names == ["slice_residual", "diag_product"]
 
 
 def test_check_serialization_fields():
@@ -312,8 +312,9 @@ def test_non_finite_check_sides_raise_kernel_error():
         bound_suite(huge, "a", defect=0.0)
     with pytest.raises(KernelError, match="non-finite side in check slice_residual"):
         bound_suite(huge, "a", defect=0.0, tol=1e-12)
+    one = FiniteKernel(("a",), "complex", [[1.0]])
     with pytest.raises(KernelError, match="check diag_spread: lhs 0.0, rhs inf"):
-        diagonal_report(_one_point_mat2(1.0), defect=1e308, tol=0.0)  # 2c overflows
+        diagonal_report(one, defect=1e308, tol=0.0)  # 2c overflows
     tiny = FiniteKernel(("a", "b"), "complex", np.full((2, 2), 1e-309 + 0j))
     with pytest.raises(KernelError, match=r"check gauge\[a\]: lhs 1.0, rhs inf"):
         bound_suite(tiny, "a")  # the exact bound, about 2/1e-309, leaves float64 range
@@ -326,8 +327,9 @@ def test_non_finite_check_sides_raise_kernel_error():
 
 
 def _exact_sides(kernel: FiniteKernel, ref: str, c) -> dict:
-    """The sides of the kind-agnostic checks, and of the gauge checks of a
-    complex kernel, from the exact oracle, with c the exact defect."""
+    """The sides of the kind-agnostic checks, and of the other diagonal checks
+    and the gauge checks of a complex kernel, from the exact oracle, with c
+    the exact defect."""
     n, kind, x0 = kernel.n, kernel.value_kind, kernel.index(ref)
     pairs = [(i, j) for i in range(n) for j in range(n)]
 
@@ -337,11 +339,11 @@ def _exact_sides(kernel: FiniteKernel, ref: str, c) -> dict:
     diag = [exact_norm(kind, F(i, i)) for i in range(n)]
     sides = {
         "slice_residual": (max(exact_term(kind, F(a, x0), F(x0, b), F(a, b)) for a, b in pairs), c),
-        "diag_spread": (max(exact_norm(kind, F(i, i), F(j, j)) for i, j in pairs), 2 * c),
         "diag_product": (max(exact_term(kind, F(i, j), F(j, i), F(i, i)) for i, j in pairs), c),
-        "diag_bound": (max(diag), min(diag) + 2 * c),
     }
     if kind == "complex":
+        sides["diag_spread"] = (max(exact_norm(kind, F(i, i), F(j, j)) for i, j in pairs), 2 * c)
+        sides["diag_bound"] = (max(diag), min(diag) + 2 * c)
         absf = [exact_norm(kind, F(i, x0)) for i in range(n)]
         absg = [exact_norm(kind, F(x0, j)) for j in range(n)]
         fmax, gmax = max(absf), max(absg)

@@ -81,22 +81,41 @@ def test_check_passes_on_every_generator_output(tmp_path, capsys, gen_args):
     assert all(c["holds"] for c in doc["checks"])
 
 
-def test_check_reports_failure_with_exit_one(tmp_path, capsys):
-    # exact mat2 kernel built from rank-one idempotents: defect 0 but the
-    # diagonal norms differ, so the commutative-case diagonal checks fail
-    k = 5.0
-    p = np.array([[1.0, k], [0.0, 0.0]])
+def _idempotent_mat2_kernel(tmp_path) -> str:
+    """An exact mat2 kernel built from rank-one idempotents: F(x,x) = F(a,x) =
+    [[1,5],[0,0]], F(x,a) = F(a,a) = [[1,0],[0,0]], so its defect is 0 while
+    its diagonal values differ and have different norms."""
+    p = np.array([[1.0, 5.0], [0.0, 0.0]])
     e = np.array([[1.0, 0.0], [0.0, 0.0]])
-    table = np.array([[p, e], [p, e]])
-    kernel = FiniteKernel(("x", "a"), "mat2", table)
+    kernel = FiniteKernel(("x", "a"), "mat2", np.array([[p, e], [p, e]]))
     assert sincov_defect(kernel).defect == 0.0
-    kpath = tmp_path / "adv.json"
+    kpath = tmp_path / "idempotent.json"
     kpath.write_bytes(save_kernel(kernel))
-    code, out, err = run(["check", "-i", str(kpath)], capsys)
+    return str(kpath)
+
+
+def test_check_holds_on_an_exact_mat2_kernel_with_distinct_diagonal(tmp_path, capsys):
+    # diag_spread and diag_bound need commuting values and would fail here
+    # (lhs 5 against 0, and 5.099 against 1); mat2 kernels get diag_product only
+    code, out, err = run(["check", "-i", _idempotent_mat2_kernel(tmp_path)], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["all_hold"] is True
+    assert [c["name"] for c in doc["checks"]] == ["slice_residual", "diag_product"]
+    assert err == "sincov: check: 2 checks, 0 failed\n"
+
+
+def test_check_reports_failure_with_exit_one(tmp_path, capsys, monkeypatch):
+    def failing_slice(kernel, i0, c):
+        return ["slice_residual"], c + 1.0, c, [("x", "a")]
+
+    monkeypatch.setattr("sincov.analysis._slice_sides", failing_slice)
+    code, out, err = run(["check", "-i", _idempotent_mat2_kernel(tmp_path)], capsys)
     assert code == 1
     doc = json.loads(out)
     assert doc["all_hold"] is False
-    assert "error: check" in err
+    assert [c["holds"] for c in doc["checks"]] == [False, True]
+    assert "error: check: failed: slice_residual" in err
 
 
 def test_sweep_subcommand(tmp_path, capsys):
@@ -311,3 +330,30 @@ def test_gen_example_choices_are_the_generator_variants():
     gen = build_parser()._subparsers._group_actions[0].choices["gen"]
     example = next(a for a in gen._actions if a.dest == "example")
     assert tuple(example.choices) == GENERATOR_VARIANTS
+
+
+def _python_output(code: str) -> str:
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_the_cli_imports_no_executor():
+    # the scan starts plain threads; concurrent.futures would also import
+    # logging and queue in every CLI process
+    out = _python_output("import sys, sincov.cli; print('concurrent.futures' in sys.modules)")
+    assert out == "False\n"
+
+
+@pytest.mark.parametrize("module, frozen", [("sincov.cli", True), ("sincov", False)])
+def test_only_the_cli_freezes_the_heap_at_exit(module, frozen):
+    # atexit runs handlers last in, first out: the probe, registered before
+    # the import, runs after anything the import registered
+    probe = f"import atexit, gc; atexit.register(lambda: print(gc.get_freeze_count())); import {module}"
+    assert (int(_python_output(probe)) > 0) == frozen

@@ -1,3 +1,4 @@
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from conftest import (
     random_mat2_kernel,
 )
 from sincov import FiniteKernel, GeneratorSpec, defect_term, generate, is_exact, sincov_defect
+from sincov import analysis
 from sincov.analysis import thread_limit
 from sincov.kernel import KernelError
 
@@ -169,6 +171,34 @@ def test_non_finite_defect_terms_raise_in_every_worker(monkeypatch, threads):
     monkeypatch.setenv("SINCOV_THREADS", threads)
     with pytest.raises(KernelError, match=r"non-finite defect term at \(p0, p40, p40\)"):
         sincov_defect(kernel)
+
+
+@pytest.mark.parametrize("fail_at, first", [((40,), 40), ((10, 40), 10)])
+def test_a_failing_scan_chunk_raises_its_error_in_chunk_order(monkeypatch, fail_at, first):
+    # 64 points on 2 threads: the caller scans slabs 0-31 and a worker thread
+    # 32-63.  A failed chunk leaves its slots of the scan's arrays unwritten,
+    # so its error must reach the caller, the first chunk's error first.
+    slab_function = analysis._slab_function
+    threads = {}
+
+    def failing_slab_function(kernel):
+        slab = slab_function(kernel)
+
+        def failing_slab(x, out):
+            if x in fail_at:
+                threads[x] = threading.current_thread()
+                raise MemoryError(f"slab {x}")
+            return slab(x, out)
+
+        return failing_slab
+
+    monkeypatch.setattr("sincov.analysis._slab_function", failing_slab_function)
+    monkeypatch.setattr("os.cpu_count", lambda: 8)  # 2 workers on any machine
+    monkeypatch.setenv("SINCOV_THREADS", "2")
+    with pytest.raises(MemoryError, match=f"slab {first}$"):
+        sincov_defect(random_complex_kernel(np.random.default_rng(1), 64))
+    assert threads[40] is not threading.main_thread()
+    assert threads.get(10, threading.main_thread()) is threading.main_thread()
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
