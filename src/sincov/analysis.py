@@ -14,11 +14,13 @@ finite and nonnegative, else KernelError; when none is given, the tolerance
 is check_tolerance's default and c comes from a defect pass, which runs
 after every input has been checked.
 
-Triple enumeration runs one x-slab at a time as vectorized array work; the
-SINCOV_THREADS environment variable caps how many slabs are processed
-concurrently (0 = auto).  The max reduction breaks ties toward the
+Triple enumeration runs one x-slab at a time as vectorized array work, in
+one function, _scan, that reduces each slab; SINCOV_THREADS caps how many slabs
+are processed concurrently (0 = auto: the usable CPUs).  sincov_defect keeps
+each slab's argmax, maximum and sum; its argmax breaks ties toward the
 lexicographically smallest (a, x, b) index triple, so results are identical
-for any chunking or thread count.
+for any chunking or thread count.  The checks need the defect alone, and
+_defect keeps each slab's maximum, of the squared moduli for complex kernels.
 
 Range policy: every norm of a kernel value is the kind's declared norm
 (kernel._KINDS), which is finite whenever the exact norm is inside float64
@@ -44,7 +46,7 @@ import numpy as np
 
 from .kernel import (
     _KINDS, COMPLEX, FiniteKernel, KernelError, _cmul, _cnorm, _components, _finite_sides, _in_range,
-    _outer, _ratio_table,
+    _outer, _ratio_table, _squared_modulus,
 )
 
 TOL_SCALE = 1e-12
@@ -52,7 +54,7 @@ _PARALLEL_MIN_SIZE = 64
 
 
 def thread_limit() -> int:
-    """Analysis parallelism cap from SINCOV_THREADS (0 or unset = auto)."""
+    """Analysis parallelism cap from SINCOV_THREADS (0 or unset = auto): the CPUs usable."""
     raw = os.environ.get("SINCOV_THREADS", "0").strip()
     try:
         value = int(raw)
@@ -60,7 +62,7 @@ def thread_limit() -> int:
         raise KernelError(f"SINCOV_THREADS must be a nonnegative integer, got {raw!r}") from None
     if value < 0:
         raise KernelError("SINCOV_THREADS must be a nonnegative integer")
-    cores = os.cpu_count() or 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return cores if value == 0 else min(value, cores)
 
 
@@ -133,10 +135,11 @@ def _checks(names, lhs, rhs, witnesses, tolv: float) -> list[BoundCheck]:
     return [BoundCheck(*c) for c in zip(names, lhs.tolist(), rhs.tolist(), holds, witnesses)]
 
 
-def _slab_function(kernel: FiniteKernel):
-    """slab(x, out): the defect terms |F(a, x) F(x, b) - F(a, b)| for all
-    (a, b), computed in the buffers of out = _slab_buffers(n).  The result is
-    one of those buffers, so the next call with the same out overwrites it."""
+def _slab_function(kernel: FiniteKernel, formula=None):
+    """slab(x, out): the defect terms |F(a, x) F(x, b) - F(a, b)| for all (a, b)
+    under the kind's norm, in the buffers of out = _slab_buffers(n), or under an
+    unguarded formula, which writes over the differences: a smaller working set.
+    The result is one of them, so the next call with the same out overwrites it."""
     mul, norm = _KINDS[kernel.value_kind].mul, _KINDS[kernel.value_kind].norm
     parts = _components(kernel.table, kernel.value_kind)
 
@@ -144,7 +147,8 @@ def _slab_function(kernel: FiniteKernel):
         product_buffers, norm_buffers = out
         products = mul(*(p[:, x] for p in parts), *(p[x, :] for p in parts),
                        out=product_buffers, times=_outer)
-        return norm(*(np.subtract(q, p, out=q) for q, p in zip(products, parts)), out=norm_buffers)
+        diffs = [np.subtract(q, p, out=q) for q, p in zip(products, parts)]
+        return norm(*diffs, out=norm_buffers) if formula is None else formula(*diffs, out=diffs)
 
     return slab
 
@@ -155,29 +159,18 @@ def _slab_buffers(n: int):
     return tuple(defaultdict(lambda: np.empty((n, n))) for _ in range(2))
 
 
-def sincov_defect(kernel: FiniteKernel) -> DefectReport:
-    """Exhaustive maximum of the composition defect over all triples.
-
-    Deterministic: ties in the argmax go to the lexicographically smallest
-    (a, x, b) index triple regardless of chunking or thread count.  A term
-    that is not finite (the kernel's products or norms leave float64 range)
-    raises KernelError naming its triple.
-    """
-    n = kernel.n
-    labels = kernel.labels
-    slab = _slab_function(kernel)
-    args = np.empty(n, dtype=np.intp)  # per slab x: flat (a, b) index of its maximum,
-    vals = np.empty(n, dtype=np.float64)  # that maximum (the first NaN, if any),
-    sums = np.empty(n, dtype=np.float64)  # and the sum of its terms
+def _scan(kernel: FiniteKernel, reduce, formula=None) -> list:
+    """[reduce(D) for each slab x], D its terms (see _slab_function), in chunks
+    of slabs on up to thread_limit() threads.  The calling thread scans the
+    first chunk; the first failed chunk's error is raised."""
+    n, slab = kernel.n, _slab_function(kernel, formula)
+    results = [None] * n
 
     @_in_range
-    def scan(xs: range, k: int = 0) -> None:  # k: sums of the terms times 2^-k
+    def scan(xs: range) -> None:
         out = _slab_buffers(n)  # one set per worker, reused for each of its slabs
         for x in xs:
-            D = slab(x, out)
-            args[x] = D.argmax()
-            vals[x] = D.flat[args[x]]
-            sums[x] = (np.ldexp(D, -k, out=D) if k else D).sum()
+            results[x] = reduce(slab(x, out))
 
     workers = min(thread_limit(), n)
     if workers > 1 and n >= _PARALLEL_MIN_SIZE:
@@ -197,13 +190,32 @@ def sincov_defect(kernel: FiniteKernel) -> DefectReport:
         scan_chunk(0)  # the calling thread scans the first chunk
         for thread in threads:
             thread.join()
-        # a failed chunk left its slots of args, vals and sums unwritten
+        # a failed chunk left its slots of results unwritten
         for exc in errors:
             if exc is not None:
                 raise exc
     else:
         scan(range(n))
+    return results
 
+
+def _report(D: np.ndarray, k: int = 0):
+    """sincov_defect's slab reduction: argmax, its value (the first NaN), sum of the terms 2^-k."""
+    i = D.argmax()
+    return i, D.flat[i], (np.ldexp(D, -k, out=D) if k else D).sum()
+
+
+@_in_range
+def sincov_defect(kernel: FiniteKernel) -> DefectReport:
+    """Exhaustive maximum of the composition defect over all triples.
+
+    Deterministic: ties in the argmax go to the lexicographically smallest
+    (a, x, b) index triple regardless of chunking or thread count.  A term
+    that is not finite (the kernel's products or norms leave float64 range)
+    raises KernelError naming its triple.
+    """
+    n, labels = kernel.n, kernel.labels
+    args, vals, sums = (np.array(r) for r in zip(*_scan(kernel, _report)))  # per slab x
     # Rank each slab: -1 if its maximum is not finite, its flat (a, x, b)
     # index if it reaches the overall maximum, n^3 otherwise; the least wins.
     a, b = np.divmod(args, n)
@@ -219,7 +231,7 @@ def sincov_defect(kernel: FiniteKernel) -> DefectReport:
     mean = float(np.sum(sums)) / n**3
     if not math.isfinite(mean):  # a sum overflowed: sum the n^3 terms again at 2^-k < n^-3
         k = (n**3).bit_length()
-        scan(range(n), k)
+        sums = np.array([r[2] for r in _scan(kernel, functools.partial(_report, k=k))])
         mean = float(np.ldexp(np.sum(sums) / n**3, k))
     mean = min(mean, best_val)
     return DefectReport(
@@ -230,10 +242,27 @@ def sincov_defect(kernel: FiniteKernel) -> DefectReport:
     )
 
 
+def _defect(kernel: FiniteKernel) -> float:
+    """sincov_defect(kernel).defect, bit for bit, from a pass that keeps each slab's
+    maximum alone: of the norms, or for complex kernels of the squared moduli, whose
+    largest is rooted once.  Out of range (see below), the full pass gives it or raises."""
+    # sqrt is correctly rounded and monotone, so M = sqrt(max s) is the largest
+    # unguarded modulus, and _cnorm keeps it, inside its window [2^-480, 2^480].
+    # So the terms _cnorm recomputes have s < 2^-960; their squares and sum each
+    # rounded off at most 2^-1075 or a relative 2^-53, so their exact moduli,
+    # and within a few ulps their recomputed ones, are under 2^-479 <= M.
+    # np.max propagates NaN, which fails both range tests.
+    if kernel.value_kind != COMPLEX:
+        c = float(np.max(_scan(kernel, np.max)))
+        return c if math.isfinite(c) else sincov_defect(kernel).defect
+    c = math.sqrt(np.max(_scan(kernel, np.max, _squared_modulus)))
+    return c if 2.0**-479 <= c <= 2.0**480 else sincov_defect(kernel).defect
+
+
 def is_exact(kernel: FiniteKernel, tol: float) -> bool:
     """Whether the kernel composes exactly, up to tol."""
     tol = check_tolerance(kernel, tol)
-    return sincov_defect(kernel).defect <= tol
+    return _defect(kernel) <= tol
 
 
 @_in_range
@@ -248,7 +277,7 @@ def _run_checks(kernel, families, ref=None, *, defect=None, tol=None, at=None) -
     ix = None if at is None else kernel.index(at)
     if defect is not None and not (math.isfinite(defect) and defect >= 0):
         raise KernelError(f"defect must be finite and nonnegative, got {float(defect)!r}")
-    c = sincov_defect(kernel).defect if defect is None else float(defect)
+    c = _defect(kernel) if defect is None else float(defect)
     checks = [check for sides in families for check in _checks(*sides(kernel, i0, c), tolv)]
     return checks if ix is None else [checks[ix]]
 
@@ -352,16 +381,17 @@ def gauge_error_bound(kernel: FiniteKernel, x0: str, x: str, c: float) -> float:
     is the expression at a = argmax |f|, b = argmax |g|, bit for bit.  The
     bound for all x is therefore one O(n) vector.
     """
-    return gauge_bound(kernel, x0, x, defect=c, tol=0.0, _operation="gauge_error_bound").rhs
+    _require_complex(kernel, "gauge_error_bound")
+    sides = functools.partial(_gauge_sides, operation="gauge_error_bound")
+    return _run_checks(kernel, [sides], x0, defect=c, tol=0.0, at=x)[0].rhs
 
 
 def gauge_bound(
-    kernel: FiniteKernel, x0: str, x: str, *, defect: float | None = None, tol: float | None = None,
-    _operation: str = "gauge_bound",
+    kernel: FiniteKernel, x0: str, x: str, *, defect: float | None = None, tol: float | None = None
 ) -> BoundCheck:
     """Check |g(x) f(x) - 1| against its defect-driven bound at (x0, x)."""
-    _require_complex(kernel, _operation)
-    sides = functools.partial(_gauge_sides, operation=_operation)
+    _require_complex(kernel, "gauge_bound")
+    sides = functools.partial(_gauge_sides, operation="gauge_bound")
     return _run_checks(kernel, [sides], x0, defect=defect, tol=tol, at=x)[0]
 
 

@@ -160,12 +160,16 @@ def _range_guarded(lo: float, hi: float):
     return guard
 
 
+def _squared_modulus(re, im, out=_UNBUFFERED):
+    """re^2 + im^2 for a complex value in component form; out[1] is scratch."""
+    sq = np.multiply(re, re, out=out[0])
+    return np.add(sq, np.multiply(im, im, out=out[1]), out=out[0])
+
+
 def _modulus(re, im, out=_UNBUFFERED):
     """Modulus sqrt(re^2 + im^2) of a complex value in component form; out[1]
     is scratch."""
-    sq = np.multiply(re, re, out=out[0])
-    sq = np.add(sq, np.multiply(im, im, out=out[1]), out=out[0])
-    return np.sqrt(sq, out=out[0])
+    return np.sqrt(_squared_modulus(re, im, out), out=out[0])
 
 
 _cnorm = _range_guarded(2.0**-480, 2.0**480)(_modulus)  # _norm2x2 takes two bare moduli under its guard

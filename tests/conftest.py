@@ -1,3 +1,5 @@
+import os
+
 import mpmath
 import numpy as np
 
@@ -88,6 +90,11 @@ def brute_force_gauge_bound(kernel: FiniteKernel, x0: str, x: str, c: float) -> 
     )
     product = T[ix, i0] * T[i0, ix]
     return float(_cnorm(product.real - 1.0, product.imag)), float(grid.min())
+
+
+def usable_cpus(monkeypatch, count: int) -> None:
+    """Make the scan see count CPUs that the process may run on, on any machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
 def random_complex_kernel(rng: np.random.Generator, n: int) -> FiniteKernel:

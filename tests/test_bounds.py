@@ -396,10 +396,10 @@ def test_a_given_defect_must_be_finite_and_nonnegative(name, defect):
 
 @pytest.mark.parametrize("name", sorted(_WITH_DEFECT))
 def test_kind_then_labels_are_checked_before_the_defect_pass(name, monkeypatch):
-    def no_pass(kernel):
+    def no_pass(*args, **kwargs):
         raise AssertionError("defect pass before the input checks")
 
-    monkeypatch.setattr("sincov.analysis.sincov_defect", no_pass)
+    monkeypatch.setattr("sincov.analysis._scan", no_pass)  # every defect pass scans through it
     if name not in ("slice_residual", "diagonal_report", "bound_suite"):  # kind before labels
         with pytest.raises(KernelError, match="requires a complex-valued kernel"):
             _WITH_DEFECT[name](FiniteKernel(("x",), "mat2", np.ones((1, 1, 2, 2))), None)

@@ -278,6 +278,7 @@ def test_in_range_kernels_exit_zero(tmp_path, capsys, name):
     code, out, _ = run(["check", "-i", str(kpath)], capsys)
     assert code == 0
     assert json.loads(out)["all_hold"] is True
+    assert json.loads(out)["defect"] == sincov_defect(kernel).defect
 
 
 def test_internal_fault_exits_four(tmp_path, capsys, monkeypatch):

@@ -1,8 +1,11 @@
+import math
 import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     IN_RANGE_KERNELS,
@@ -12,11 +15,14 @@ from conftest import (
     ones_mat2_with_large_column,
     random_complex_kernel,
     random_mat2_kernel,
+    usable_cpus,
 )
 from sincov import FiniteKernel, GeneratorSpec, defect_term, generate, is_exact, sincov_defect
 from sincov import analysis
 from sincov.analysis import thread_limit
 from sincov.kernel import KernelError
+
+RANDOM_KERNELS = {"complex": random_complex_kernel, "mat2": random_mat2_kernel}
 
 ORACLE_KERNELS = [
     ("constant-1", generate(GeneratorSpec("constant", value=-1.0, size=3))),
@@ -99,7 +105,7 @@ def test_is_exact_rejects_a_non_finite_tolerance(tol):
 
 
 def test_determinism_across_thread_counts(monkeypatch):
-    monkeypatch.setattr("os.cpu_count", lambda: 8)  # 3 and 4 workers on any machine
+    usable_cpus(monkeypatch, 8)  # 3 and 4 workers on any machine
     kernel = random_complex_kernel(np.random.default_rng(8), 80)
     reports = []
     for threads in ("1", "3", "0"):
@@ -126,7 +132,7 @@ def test_ties_go_to_the_smallest_triple(monkeypatch, threads):
     # Entries in {-1, 0, 1} make every term an exact small integer, so the
     # maximum is reached by many triples, in many slabs.
     rng = np.random.default_rng(5)
-    monkeypatch.setattr("os.cpu_count", lambda: 8)  # 2 workers on any machine
+    usable_cpus(monkeypatch, 8)  # 2 workers on any machine
     monkeypatch.setenv("SINCOV_THREADS", threads)
     for n in (6, 70):
         for _ in range(5):
@@ -140,7 +146,7 @@ def test_ties_go_to_the_smallest_triple(monkeypatch, threads):
 
 
 def test_thread_limit_env(monkeypatch):
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    usable_cpus(monkeypatch, 2)
     monkeypatch.setenv("SINCOV_THREADS", "2")
     assert thread_limit() == 2
     monkeypatch.setenv("SINCOV_THREADS", "8")  # capped at the core count; starts no thread
@@ -155,6 +161,15 @@ def test_thread_limit_env(monkeypatch):
         thread_limit()
 
 
+def test_auto_thread_limit_counts_the_cpus_the_process_may_run_on(monkeypatch):
+    # a container pinned to one CPU of a 64-CPU machine scans in one thread
+    monkeypatch.setattr("os.cpu_count", lambda: 64)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
+    for threads in ("0", "4"):
+        monkeypatch.setenv("SINCOV_THREADS", threads)
+        assert thread_limit() == 1
+
+
 @pytest.mark.parametrize("name", sorted(OVERFLOWING_KERNELS))
 def test_non_finite_defect_terms_raise_kernel_error(name):
     with pytest.raises(KernelError, match=r"non-finite defect term at \(a, a, a\)"):
@@ -167,7 +182,7 @@ def test_non_finite_defect_terms_raise_in_every_worker(monkeypatch, threads):
     # of two large entries leave range (1e320), so the first non-finite slab
     # is x = 40.
     kernel = ones_mat2_with_large_column(1e160)
-    monkeypatch.setattr("os.cpu_count", lambda: 8)  # 2 workers on any machine
+    usable_cpus(monkeypatch, 8)  # 2 workers on any machine
     monkeypatch.setenv("SINCOV_THREADS", threads)
     with pytest.raises(KernelError, match=r"non-finite defect term at \(p0, p40, p40\)"):
         sincov_defect(kernel)
@@ -176,13 +191,14 @@ def test_non_finite_defect_terms_raise_in_every_worker(monkeypatch, threads):
 @pytest.mark.parametrize("fail_at, first", [((40,), 40), ((10, 40), 10)])
 def test_a_failing_scan_chunk_raises_its_error_in_chunk_order(monkeypatch, fail_at, first):
     # 64 points on 2 threads: the caller scans slabs 0-31 and a worker thread
-    # 32-63.  A failed chunk leaves its slots of the scan's arrays unwritten,
-    # so its error must reach the caller, the first chunk's error first.
+    # 32-63.  A failed chunk leaves its slots of the scan's results unwritten,
+    # so its error must reach the caller, the first chunk's error first, in
+    # the report's pass and in the checks' maximum-only pass, of either kind.
     slab_function = analysis._slab_function
     threads = {}
 
-    def failing_slab_function(kernel):
-        slab = slab_function(kernel)
+    def failing_slab_function(kernel, *formula):
+        slab = slab_function(kernel, *formula)
 
         def failing_slab(x, out):
             if x in fail_at:
@@ -193,12 +209,17 @@ def test_a_failing_scan_chunk_raises_its_error_in_chunk_order(monkeypatch, fail_
         return failing_slab
 
     monkeypatch.setattr("sincov.analysis._slab_function", failing_slab_function)
-    monkeypatch.setattr("os.cpu_count", lambda: 8)  # 2 workers on any machine
+    usable_cpus(monkeypatch, 8)  # 2 workers on any machine
     monkeypatch.setenv("SINCOV_THREADS", "2")
-    with pytest.raises(MemoryError, match=f"slab {first}$"):
-        sincov_defect(random_complex_kernel(np.random.default_rng(1), 64))
-    assert threads[40] is not threading.main_thread()
-    assert threads.get(10, threading.main_thread()) is threading.main_thread()
+    kernels = [random_complex_kernel(np.random.default_rng(1), 64),
+               random_mat2_kernel(np.random.default_rng(1), 64)]
+    for scan in (sincov_defect, analysis._defect):
+        for kernel in kernels:
+            threads.clear()
+            with pytest.raises(MemoryError, match=f"slab {first}$"):
+                scan(kernel)
+            assert threads[40] is not threading.main_thread()
+            assert threads.get(10, threading.main_thread()) is threading.main_thread()
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -206,7 +227,7 @@ def test_a_failing_scan_chunk_raises_its_error_in_chunk_order(monkeypatch, fail_
 def test_in_range_defect_matches_the_exact_oracle(monkeypatch, name, threads):
     # squares of these entries or terms overflow or underflow, the defect does not
     kernel = IN_RANGE_KERNELS[name]
-    monkeypatch.setattr("os.cpu_count", lambda: 8)
+    usable_cpus(monkeypatch, 8)
     monkeypatch.setenv("SINCOV_THREADS", threads)
     report = sincov_defect(kernel)
     exact = exact_defect(kernel)
@@ -225,3 +246,74 @@ def test_mean_defect_when_a_slab_sum_overflows():
     mean = float(sum(map(Fraction, terms)) / len(terms))
     assert mean == 5.859375e305
     assert sincov_defect(kernel).mean_defect == mean
+
+
+def test_mean_defect_when_the_sum_of_finite_slab_sums_overflows():
+    # each slab's sum is finite, their total is not: the re-sum runs without
+    # an overflow warning
+    table = np.full((2, 2), 1e-3 + 0j)
+    table[0, 1] = table[1, 0] = 1.2e154
+    kernel = FiniteKernel(("a", "b"), "complex", table)
+    slabs = [[defect_term(kernel.entry(a, x), kernel.entry(x, b), kernel.entry(a, b))
+              for a in range(2) for b in range(2)] for x in range(2)]
+    assert all(math.isfinite(sum(slab)) for slab in slabs)
+    assert math.isinf(sum(slabs[0]) + sum(slabs[1]))
+    terms = slabs[0] + slabs[1]
+    assert sincov_defect(kernel).mean_defect == float(sum(map(Fraction, terms)) / len(terms))
+
+
+def _drawn_kernel(kind: str, n: int, seed: int, center: int, spread: int, zeros: float) -> FiniteKernel:
+    """Components m 2^e, m in [1, 2) with a random sign and e within spread of
+    center; a share zeros of them are 0 and as many again subnormal."""
+    rng = np.random.default_rng(seed)
+    shape = (n, n) if kind == "complex" else (n, n, 2, 2)
+    parts = []
+    for _ in range(2 if kind == "complex" else 1):
+        e = np.clip(center + rng.integers(-spread, spread + 1, shape), -1100, 1023)
+        v = np.ldexp(rng.choice([-1.0, 1.0], shape) * rng.uniform(1.0, 2.0, shape), e)
+        pick = rng.uniform(size=shape)
+        v[pick < zeros] = 0.0
+        subnormal = (pick >= zeros) & (pick < 2 * zeros)
+        v[subnormal] = np.ldexp(rng.integers(1, 2**52, shape).astype(float), -1074)[subnormal]
+        parts.append(v)
+    table = parts[0] + 1j * parts[1] if kind == "complex" else parts[0]
+    return FiniteKernel(tuple(f"p{i}" for i in range(n)), kind, table)
+
+
+def _outcome(pass_, kernel) -> str:
+    try:
+        return float(pass_(kernel)).hex()
+    except KernelError as exc:
+        return f"KernelError: {exc}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["complex", "mat2"]),
+    st.sampled_from([1, 2, 5, 63, 64, 70]),  # both sides of the smallest size scanned in threads
+    st.integers(0, 2**32 - 1),
+    st.integers(-40, 40) | st.integers(-1100, 1023),  # exponents near 1, or across float64 range
+    st.sampled_from([0, 3, 30, 300, 2000]),
+    st.sampled_from([0.0, 0.1, 0.5]),
+)
+def test_maximum_pass_equals_the_report_defect_bit_for_bit(kind, n, seed, center, spread, zeros):
+    kernel = _drawn_kernel(kind, n, seed, center, spread, zeros)
+    for threads in ("1", "2"):
+        with pytest.MonkeyPatch.context() as mp:
+            usable_cpus(mp, 2)
+            mp.setenv("SINCOV_THREADS", threads)
+            want = _outcome(lambda k: sincov_defect(k).defect, kernel)
+            assert _outcome(analysis._defect, kernel) == want
+
+
+@pytest.mark.parametrize("kind", ["complex", "mat2"])
+def test_maximum_pass_needs_no_report_on_kernels_in_range(monkeypatch, kind):
+    kernel = RANDOM_KERNELS[kind](np.random.default_rng(2), 70)
+    want = sincov_defect(kernel).defect
+
+    def no_report(kernel):
+        raise AssertionError("fell back to the report's pass")
+
+    monkeypatch.setattr("sincov.analysis.sincov_defect", no_report)
+    assert analysis._defect(kernel) == want
+    assert is_exact(kernel, want) and not is_exact(kernel, want * (1 - 2**-52))

@@ -11,6 +11,7 @@ from conftest import (
     random_mat2_kernel,
     unbuffered_defect_report,
     unbuffered_slabs,
+    usable_cpus,
 )
 from sincov import GeneratorSpec, generate, slice_residual, sincov_defect
 from sincov.kernel import _outer
@@ -30,7 +31,7 @@ def _kernels(kind: str, n: int):
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("kind", ["complex", "mat2"])
 def test_buffered_scan_equals_unbuffered_reference(monkeypatch, kind, n, threads):
-    monkeypatch.setattr("os.cpu_count", lambda: 4)  # so the thread count is not capped
+    usable_cpus(monkeypatch, 4)  # so the thread count is not capped
     monkeypatch.setenv("SINCOV_THREADS", threads)
     for name, kernel in _kernels(kind, n).items():
         expected = unbuffered_defect_report(kernel)
@@ -85,7 +86,7 @@ EXACT_KERNELS = {
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("name", sorted(EXACT_KERNELS))
 def test_exact_kernels_scan_to_the_unbuffered_report(monkeypatch, name, threads):
-    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    usable_cpus(monkeypatch, 4)
     monkeypatch.setenv("SINCOV_THREADS", threads)
     kernel = generate(EXACT_KERNELS[name])
     expected = unbuffered_defect_report(kernel)
