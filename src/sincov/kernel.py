@@ -13,6 +13,7 @@ import functools
 import gc
 import json
 import math
+import re
 import threading
 from collections import namedtuple
 from dataclasses import dataclass, fields
@@ -634,6 +635,15 @@ def generate(spec: GeneratorSpec) -> FiniteKernel:
 # to _reals.  A pass that fails names the first bad item of its level, so a
 # document with several defects is reported at its outermost bad level, in
 # storage order, and a bad shape always before a bad real.
+#
+# A kernel document in the layout save_kernel writes (its three keys once
+# each and in that order, any JSON whitespace between tokens, nothing but
+# whitespace after the closing brace) is read one row at a time instead, by
+# _by_rows: json's scanner parses a row, the same passes check and flatten
+# it, and its reals go into one preallocated array, so at most one row of
+# Python objects is alive, where the whole document takes several times the
+# file's size.  On any other layout, and on any defect, _by_rows declines and
+# the whole document is read as above, so every error is the same.
 
 _TOP_KEYS = ("labels", "value_kind", "entries")
 
@@ -739,13 +749,22 @@ def _reject_constant(token):
     raise KernelFormatError(f"non-finite literal {token!r} not allowed")
 
 
+_DECODE = json.JSONDecoder(parse_constant=_reject_constant).raw_decode
+_SPACE = re.compile(r"[ \t\n\r]*").match  # JSON's whitespace
+
+
+def _text(data) -> str:
+    """data, UTF-8 bytes or text, as text."""
+    try:
+        return data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else str(data)
+    except UnicodeDecodeError as exc:
+        raise KernelFormatError(f"not valid UTF-8: {exc}") from None
+
+
 def _parse(data):
     """The JSON document in data, UTF-8 bytes or text.  NaN and Infinity are
     rejected, as is a document nested too deeply for the parser."""
-    try:
-        text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else str(data)
-    except UnicodeDecodeError as exc:
-        raise KernelFormatError(f"not valid UTF-8: {exc}") from None
+    text = _text(data)
     try:
         return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
@@ -754,10 +773,78 @@ def _parse(data):
         raise KernelFormatError("invalid JSON: nesting too deep") from None
 
 
-@_gc_paused
-def load_kernel(data: bytes) -> FiniteKernel:
-    """Parse and validate a kernel document; inverse of save_kernel."""
-    doc = _parse(data)
+def _check_head(labels, kind) -> None:
+    """Check a kernel document's labels and value_kind."""
+    if not isinstance(labels, list) or not labels or any(not isinstance(s, str) for s in labels):
+        raise KernelFormatError("labels must be a non-empty array of strings", "labels")
+    if len(set(labels)) != len(labels):
+        raise KernelFormatError("duplicate labels", "labels")
+    if not isinstance(kind, str) or kind not in _KINDS:  # a list or dict kind is unhashable
+        raise KernelFormatError(f"unknown value_kind {kind!r}", "value_kind")
+
+
+def _entry_reals(rows: list, n: int, kind: str) -> np.ndarray:
+    """The reals of rows of entries of kind, n to a row, in storage order,
+    each level checked in full before the next.  Locations count rows from
+    the first of rows."""
+    algebra = _KINDS[kind]
+    cell = lambda k: "entries[%d][%d]" % divmod(k, n)
+    # each level's list replaces the one before
+    level = _spread(rows, n, f"row must have {n} entries", lambda i: f"entries[{i}]")
+    level = _fields(level, algebra.keys, f"{kind} entry must be {algebra.form}", cell)
+    if kind == MAT2:
+        level = _spread(level, 2, "m must be a 2x2 array", lambda k: cell(k) + ".m")
+        level = _spread(level, 2, "m must be a 2x2 array", lambda k: cell(k // 2) + ".m")
+    width = len(algebra.slots)
+    return _reals(level, lambda k: cell(k // width) + algebra.slots[k % width])
+
+
+def _by_rows(text: str):
+    """(labels, kind, reals) of a kernel document in save_kernel's layout,
+    read one row at a time; None for any other text, and for a document with
+    a defect, which the whole-document path then names.  (The errors raised
+    inside count rows from the row at hand; none leaves this function.)"""
+
+    def skip(pos: int, token: str) -> int:
+        """The position after token, which must stand at pos, and the whitespace after it."""
+        if text[pos:pos + 1] != token:
+            raise ValueError(f"expected {token!r} at {pos}")
+        return _SPACE(text, pos + 1).end()
+
+    def value(pos: int):
+        """The JSON value at pos, and the position after it and the whitespace after it."""
+        item, end = _DECODE(text, pos)
+        return item, _SPACE(text, end).end()
+
+    try:
+        pos, head = skip(_SPACE(text).end(), "{"), []
+        for key in _TOP_KEYS:
+            name, pos = value(pos)
+            if name != key:
+                return None
+            pos = skip(pos, ":")
+            if key != "entries":
+                item, pos = value(pos)
+                head.append(item)
+                pos = skip(pos, ",")
+        labels, kind = head
+        _check_head(labels, kind)
+        n, width = len(labels), len(_KINDS[kind].slots)
+        if n * n * width > len(text):  # each real takes a character at least
+            return None
+        reals = np.empty((n, n * width))
+        pos = skip(pos, "[")
+        for i in range(n):
+            row, pos = value(pos)
+            reals[i] = _entry_reals([row], n, kind)
+            pos = skip(pos, ",]"[i == n - 1])
+        return (labels, kind, reals) if skip(pos, "}") == len(text) else None
+    except (ValueError, RecursionError):  # KernelFormatError and JSONDecodeError among them
+        return None
+
+
+def _document(doc) -> tuple:
+    """(labels, kind, reals) of a parsed kernel document."""
     if not isinstance(doc, dict):
         raise KernelFormatError("top level must be an object")
     unknown = set(doc.keys()) - set(_TOP_KEYS)
@@ -766,31 +853,22 @@ def load_kernel(data: bytes) -> FiniteKernel:
     for key in _TOP_KEYS:
         if key not in doc:
             raise KernelFormatError(f"missing top-level key {key!r}")
-
-    labels = doc["labels"]
-    if not isinstance(labels, list) or not labels or any(not isinstance(s, str) for s in labels):
-        raise KernelFormatError("labels must be a non-empty array of strings", "labels")
-    if len(set(labels)) != len(labels):
-        raise KernelFormatError("duplicate labels", "labels")
-
-    kind = doc["value_kind"]
-    if not isinstance(kind, str) or kind not in _KINDS:  # a list or dict kind is unhashable
-        raise KernelFormatError(f"unknown value_kind {kind!r}", "value_kind")
-
-    entries = doc["entries"]
+    labels, kind, entries = map(doc.get, _TOP_KEYS)
+    _check_head(labels, kind)
     n = len(labels)
     if not isinstance(entries, list) or len(entries) != n:
         raise KernelFormatError(f"entries must have {n} rows", "entries")
-    algebra = _KINDS[kind]
-    cell = lambda k: "entries[%d][%d]" % divmod(k, n)
-    # each level's list replaces the one before, so only two are alive at once
-    level = _spread(entries, n, f"row must have {n} entries", lambda i: f"entries[{i}]")
-    del doc, entries
-    level = _fields(level, algebra.keys, f"{kind} entry must be {algebra.form}", cell)
-    if kind == MAT2:
-        level = _spread(level, 2, "m must be a 2x2 array", lambda k: cell(k) + ".m")
-        level = _spread(level, 2, "m must be a 2x2 array", lambda k: cell(k // 2) + ".m")
-    width = len(algebra.slots)
-    reals = _reals(level, lambda k: cell(k // width) + algebra.slots[k % width])
-    del level
+    return labels, kind, _entry_reals(entries, n, kind)
+
+
+@_gc_paused
+def load_kernel(data: bytes) -> FiniteKernel:
+    """Parse and validate a kernel document; inverse of save_kernel.
+
+    A document in save_kernel's layout, spaced in any way, is read one row at
+    a time, with at most one row of Python objects alive; any other is parsed
+    whole.  Both give the same kernel, and a defect the same error."""
+    text = _text(data)
+    labels, kind, reals = _by_rows(text) or _document(_parse(text))
+    algebra, n = _KINDS[kind], len(labels)
     return FiniteKernel(tuple(labels), kind, reals.view(algebra.dtype).reshape((n, n) + algebra.shape))

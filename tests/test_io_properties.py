@@ -2,6 +2,7 @@
 
 import copy
 import json
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from sincov import (
     save_kernel,
     save_vectors,
 )
+from sincov import kernel as kernel_module
 
 # signed zero, subnormals, the smallest normal and the edges of float range
 EDGE_REALS = (
@@ -173,3 +175,112 @@ def test_mutated_vector_documents_raise_only_vector_errors(data, vectors):
         load_vectors(document)
     except VectorError:
         pass
+
+
+# Kernel documents written in other ways than save_kernel's.  load_kernel reads
+# a document in save_kernel's layout one row at a time and any other whole;
+# both must give the same kernel, or the same error.
+SPACE = st.text(" \t\n\r", max_size=3)
+
+
+def _items(items: list, space) -> str:
+    return ",".join(space() + item + space() for item in items) or space()
+
+
+def _object(pairs, space, key) -> str:
+    """An object of (key, value) pairs, in order and repeats allowed."""
+    return "{%s}" % _items([key(k) + space() + ":" + space() + _json(v, space, key) for k, v in pairs], space)
+
+
+def _json(value, space, key) -> str:
+    """value as JSON text with space() around the items of each array and
+    object and around each colon, and each key written by key."""
+    if isinstance(value, dict):
+        return _object(value.items(), space, key)
+    if isinstance(value, list):
+        return "[%s]" % _items([_json(v, space, key) for v in value], space)
+    return json.dumps(value, ensure_ascii=False)
+
+
+def _written(draw, pairs, *, spaced: bool, escaped: bool) -> str:
+    """An object of (key, value) pairs; spaced, with JSON whitespace between
+    any two tokens; escaped, with each ASCII letter of a key spelled as itself
+    or as a \\u escape."""
+    space = (lambda: draw(SPACE)) if spaced else str
+    if escaped:
+        key = lambda k: '"%s"' % "".join(
+            "\\u%04x" % ord(c) if c.isascii() and c.isalpha() and draw(st.booleans())
+            else json.dumps(c, ensure_ascii=False)[1:-1]
+            for c in k
+        )
+    else:
+        key = json.dumps
+    return space() + _object(pairs, space, key) + space()
+
+
+@st.composite
+def in_saved_layout(draw, data: bytes) -> list[bytes]:
+    """The kernel document in data as saved, through json.dumps(indent=1), and
+    with JSON whitespace between any two tokens and keys spelled with escapes."""
+    doc = json.loads(data)
+    return [data, json.dumps(doc, indent=1).encode(),
+            _written(draw, doc.items(), spaced=True, escaped=True).encode("utf-8")]
+
+
+@st.composite
+def in_other_layouts(draw, data: bytes) -> list[bytes]:
+    """The kernel document in data written, spaced or not and with escapes or
+    not, with its top-level keys in another order, with one of them twice, and
+    with text after it; and the document with one defect."""
+    pairs = list(json.loads(data).items())
+    key, value = draw(st.sampled_from(pairs))
+    twice = pairs[:]
+    twice.insert(draw(st.integers(0, len(pairs))), (key, draw(st.just(value) | JSON_VALUES)))
+    write = lambda pairs: _written(draw, pairs, spaced=draw(st.booleans()), escaped=draw(st.booleans()))
+    texts = [write(draw(st.permutations(pairs))), write(twice), write(pairs) + draw(st.text(min_size=1, max_size=3))]
+    return [text.encode("utf-8") for text in texts] + [draw(mutated(data))]
+
+
+def _outcome(data: bytes):
+    """The saved bytes of the kernel load_kernel reads from data, so that -0.0
+    counts, or the type and message of the error it raises."""
+    try:
+        return save_kernel(load_kernel(data))
+    except Exception as exc:  # compared with the document path's, never hidden
+        return type(exc), str(exc)
+
+
+def _document_outcome(data: bytes):
+    """_outcome with the row reader declining every document."""
+    with mock.patch.object(kernel_module, "_by_rows", return_value=None):
+        return _outcome(data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), writer_kernels())
+def test_every_kernel_document_loads_as_the_whole_document_does(data, kernel):
+    saved = save_kernel(kernel)
+    for document in data.draw(in_saved_layout(saved)) + data.draw(in_other_layouts(saved)):
+        assert _outcome(document) == _document_outcome(document), document
+
+
+def _unparsed(data):
+    raise AssertionError("the whole document was parsed")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), writer_kernels())
+def test_documents_in_the_saved_layout_are_read_row_by_row(data, kernel):
+    """The save_kernel bytes among them: the whole document is never parsed."""
+    saved = save_kernel(kernel)
+    with mock.patch.object(kernel_module, "_parse", _unparsed):
+        for document in data.draw(in_saved_layout(saved)):
+            assert save_kernel(load_kernel(document)) == saved, document
+
+
+def test_key_sorted_documents_are_read_whole():
+    kernel = FiniteKernel(("a", "b"), "complex", np.array([[1.0, -0.0j], [2.5, 1j]]))
+    data = json.dumps(json.loads(save_kernel(kernel)), sort_keys=True).encode()
+    with mock.patch.object(kernel_module, "_parse", wraps=kernel_module._parse) as parse:
+        assert load_kernel(data) == kernel
+    assert parse.call_count == 1

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,20 @@ def test_non_contiguous_tables_are_stored_c_ordered_and_saved(kind, layout):
     data = save_kernel(kernel)
     assert data == save_kernel(FiniteKernel(source.labels, kind, np.ascontiguousarray(table)))
     assert load_kernel(data) == kernel
+
+
+def test_loading_a_saved_kernel_holds_one_row_of_parsed_json_at_a_time():
+    """The peak stays below the document's size plus three table sizes: the
+    decoded text, the reals, the kernel's copy of them, and one row."""
+    kernel = random_mat2_kernel(np.random.default_rng(7), 96)
+    data = save_kernel(kernel)
+    tracemalloc.start()
+    try:
+        assert load_kernel(data) == kernel
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(data) + 3 * kernel.table.nbytes
 
 
 def test_saved_document_shape():
