@@ -30,12 +30,10 @@ from .ipspace import (
     VectorError,
     buzano_margin,
     cauchy_schwarz_margin,
-    load_vectors,
     margin_sweep,
     normalized_gram,
     richard_margin,
     sample_vectors,
-    save_vectors,
 )
 from .kernel import (
     AlgebraValue,
@@ -82,7 +80,6 @@ __all__ = [
     "growth_witness",
     "is_exact",
     "load_kernel",
-    "load_vectors",
     "margin_sweep",
     "normalized_gram",
     "point_label",
@@ -90,7 +87,6 @@ __all__ = [
     "richard_margin",
     "sample_vectors",
     "save_kernel",
-    "save_vectors",
     "sincov_defect",
     "slice_residual",
     "unit_diag_bound",

@@ -17,7 +17,6 @@ VectorError.
 from __future__ import annotations
 
 import cmath
-import json
 import numbers
 from dataclasses import asdict, dataclass
 from operator import attrgetter
@@ -25,10 +24,7 @@ from operator import attrgetter
 import numpy as np
 
 from .analysis import sincov_defect
-from .kernel import (
-    COMPLEX, FiniteKernel, KernelFormatError, _finite_sides, _gc_paused, _in_range, _is_number, _parse,
-    _reals, _scaled, _spread,
-)
+from .kernel import COMPLEX, FiniteKernel, _finite_sides, _in_range, _is_number, _scaled
 
 REAL_FIELD = "real"
 COMPLEX_FIELD = "complex"
@@ -276,52 +272,3 @@ def margin_sweep(dim: int, count: int, field: str, seed: int) -> SweepResult:
         margins_hold=margins_hold, gram_size=g, gram_defect=gram_defect,
         gram_defect_holds=gram_defect <= GRAM_DEFECT_BOUND + MARGIN_TOL,
     )
-
-
-# Vector list file format: a UTF-8 JSON document
-#   { "field": "real" | "complex", "dim": d, "vectors": [[...], ...] }
-# with complex coordinates encoded as [re, im] pairs.
-
-
-def save_vectors(vectors: list[IPVector]) -> bytes:
-    if not vectors:
-        raise VectorError("save_vectors: needs at least one vector")
-    _check_compatible(*vectors)
-    field, dim = vectors[0].field, vectors[0].dim
-    M = np.stack([v.as_array() for v in vectors])
-    rows = (M if field == REAL_FIELD else M.view(np.float64).reshape(*M.shape, 2)).tolist()
-    doc = {"field": field, "dim": dim, "vectors": rows}
-    text = json.dumps(doc, ensure_ascii=False, allow_nan=False, separators=(",", ":"))
-    return (text + "\n").encode("utf-8")
-
-
-@_gc_paused
-def load_vectors(data: bytes) -> list[IPVector]:
-    """Parse and validate a vector document; inverse of save_vectors.  It is
-    read like a kernel document, by the same helpers."""
-    try:
-        doc = _parse(data)
-        if not isinstance(doc, dict) or set(doc.keys()) != {"field", "dim", "vectors"}:
-            raise VectorError('vector document must have exactly keys "field", "dim", "vectors"')
-        field = doc["field"]
-        if field not in FIELDS:
-            raise VectorError(f"unknown field {field!r}")
-        dim = doc["dim"]
-        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-            raise VectorError(f"dim: must be an integer >= 1, got {dim!r}")
-        rows = doc["vectors"]
-        if not isinstance(rows, list) or not rows:
-            raise VectorError("vectors must be a non-empty array")
-        level = _spread(rows, dim, f"expected {dim} coordinates", lambda i: f"vectors[{i}]")
-        if field == REAL_FIELD:
-            coords = _reals(level, lambda k: "vectors[%d][%d]" % divmod(k, dim))
-        else:
-            level = _spread(
-                level, 2, "complex coordinates must be [re, im]", lambda k: f"vectors[{k // dim}]"
-            )
-            coords = _reals(
-                level, lambda k: "vectors[%d][%d][%d]" % (*divmod(k // 2, dim), k % 2)
-            ).view(np.complex128)
-    except KernelFormatError as exc:
-        raise VectorError(str(exc)) from None
-    return [IPVector(field, tuple(row)) for row in coords.reshape(len(rows), dim).tolist()]

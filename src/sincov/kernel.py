@@ -629,12 +629,12 @@ def generate(spec: GeneratorSpec) -> FiniteKernel:
 #     "entries": [[ {"re": r, "im": i} | {"m": [[a, b], [c, d]]}, ...], ...] }
 # entries is row-major, entries[i][j] = F(labels[i], labels[j]).  Unknown
 # top-level keys are rejected.  Every real is a finite JSON integer or decimal
-# literal.  Both file formats are read the same way: _parse reads the
-# document, each level of nesting is checked in full with one C-level pass
-# (_spread, _fields), and every real is read in storage order with one call
-# to _reals.  A pass that fails names the first bad item of its level, so a
-# document with several defects is reported at its outermost bad level, in
-# storage order, and a bad shape always before a bad real.
+# literal.  _parse reads the document, each level of nesting is checked in
+# full with one C-level pass (_spread, _fields), and every real is read in
+# storage order with one call to _reals.  A pass that fails names the first
+# bad item of its level, so a document with several defects is reported at
+# its outermost bad level, in storage order, and a bad shape always before a
+# bad real.
 #
 # A kernel document in the layout save_kernel writes (its three keys once
 # each and in that order, any JSON whitespace between tokens, nothing but
@@ -753,20 +753,20 @@ _DECODE = json.JSONDecoder(parse_constant=_reject_constant).raw_decode
 _SPACE = re.compile(r"[ \t\n\r]*").match  # JSON's whitespace
 
 
-def _text(data) -> str:
-    """data, UTF-8 bytes or text, as text."""
+def _int_literal(literal: str):
+    """A JSON integer literal as an int; past Python's int-string limit (640
+    digits or more), as the infinite float it rounds to, as 1e999 reads."""
     try:
-        return data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else str(data)
-    except UnicodeDecodeError as exc:
-        raise KernelFormatError(f"not valid UTF-8: {exc}") from None
+        return int(literal)
+    except ValueError:
+        return float(literal)
 
 
-def _parse(data):
-    """The JSON document in data, UTF-8 bytes or text.  NaN and Infinity are
-    rejected, as is a document nested too deeply for the parser."""
-    text = _text(data)
+def _parse(text: str):
+    """The JSON document in text.  NaN and Infinity are rejected, as is a
+    document nested too deeply for the parser."""
     try:
-        return json.loads(text, parse_constant=_reject_constant)
+        return json.loads(text, parse_constant=_reject_constant, parse_int=_int_literal)
     except json.JSONDecodeError as exc:
         raise KernelFormatError(f"invalid JSON: {exc}") from None
     except RecursionError:
@@ -868,7 +868,10 @@ def load_kernel(data: bytes) -> FiniteKernel:
     A document in save_kernel's layout, spaced in any way, is read one row at
     a time, with at most one row of Python objects alive; any other is parsed
     whole.  Both give the same kernel, and a defect the same error."""
-    text = _text(data)
+    try:
+        text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else str(data)
+    except UnicodeDecodeError as exc:
+        raise KernelFormatError(f"not valid UTF-8: {exc}") from None
     labels, kind, reals = _by_rows(text) or _document(_parse(text))
     algebra, n = _KINDS[kind], len(labels)
     return FiniteKernel(tuple(labels), kind, reals.view(algebra.dtype).reshape((n, n) + algebra.shape))

@@ -295,6 +295,14 @@ def test_internal_fault_exits_four(tmp_path, capsys, monkeypatch):
     assert out == ""
 
 
+def test_integer_literal_past_the_int_string_limit_exits_three(tmp_path, capsys):
+    kpath = tmp_path / "k.json"
+    kpath.write_bytes(b'{"labels":["a"],"value_kind":"complex","entries":[[{"re":%s,"im":0.0}]]}\n'
+                      % (b"1" * 5000))
+    code, out, err = run(["defect", "-i", str(kpath)], capsys)
+    assert (code, out, err) == (3, "", "sincov: error: input: entries[0][0].re: non-finite value\n")
+
+
 def test_deeply_nested_document_exits_three(tmp_path):
     kpath = tmp_path / "k.json"
     kpath.write_bytes(b"[" * 100_000)

@@ -1,9 +1,12 @@
 """Every private function, class, constant and method of the package has a
-caller: a name that is only defined is code to delete."""
+caller: a name that is only defined is code to delete.  And every name that
+the package exports exists."""
 
 import ast
 from collections import Counter
 from pathlib import Path
+
+import sincov
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sincov"
 
@@ -56,3 +59,9 @@ def test_every_private_top_level_name_has_a_caller():
 def test_every_private_method_has_a_caller():
     unused = _unused(_class_bodies)
     assert not unused, f"defined but never used: {unused}"
+
+
+def test_every_name_in_all_is_defined():
+    """So that `from sincov import *` works."""
+    missing = [name for name in sincov.__all__ if not hasattr(sincov, name)]
+    assert not missing, f"in __all__ but not defined: {missing}"

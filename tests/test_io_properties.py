@@ -1,4 +1,4 @@
-"""Property tests of the kernel and vector file readers."""
+"""Property tests of the kernel file reader and writer."""
 
 import copy
 import json
@@ -8,16 +8,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sincov import (
-    FiniteKernel,
-    IPVector,
-    KernelFormatError,
-    VectorError,
-    load_kernel,
-    load_vectors,
-    save_kernel,
-    save_vectors,
-)
+from sincov import FiniteKernel, KernelFormatError, load_kernel, save_kernel
 from sincov import kernel as kernel_module
 
 # signed zero, subnormals, the smallest normal and the edges of float range
@@ -27,7 +18,7 @@ EDGE_REALS = (
 )
 REALS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_REALS)
 
-# any JSON value, including the literals the readers reject
+# any JSON value, including the literals the reader rejects
 JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()
@@ -94,17 +85,6 @@ def reference_save_kernel(kernel: FiniteKernel) -> bytes:
     return (text + "\n").encode("utf-8")
 
 
-@st.composite
-def vector_lists(draw):
-    field = draw(st.sampled_from(["real", "complex"]))
-    dim = draw(st.integers(1, 4))
-    width = dim if field == "real" else 2 * dim
-    rows = draw(st.lists(st.lists(REALS, min_size=width, max_size=width), min_size=1, max_size=4))
-    if field == "complex":
-        rows = [np.array(row).view(np.complex128).tolist() for row in rows]
-    return [IPVector(field, tuple(row)) for row in rows]
-
-
 def _nodes(doc, path=()):
     """Every (path, value) in a parsed JSON document, the root first."""
     yield path, doc
@@ -149,14 +129,6 @@ def test_save_kernel_writes_the_bytes_of_the_reference_writer(kernel):
     assert save_kernel(kernel) == reference_save_kernel(kernel)
 
 
-@settings(max_examples=100, deadline=None)
-@given(vector_lists())
-def test_vector_round_trip_is_bit_identical(vectors):
-    back = load_vectors(save_vectors(vectors))
-    assert [v.field for v in back] == [v.field for v in vectors]
-    assert all(a.as_array().tobytes() == b.as_array().tobytes() for a, b in zip(back, vectors))
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.data(), kernels())
 def test_mutated_kernel_documents_raise_only_format_errors(data, kernel):
@@ -164,16 +136,6 @@ def test_mutated_kernel_documents_raise_only_format_errors(data, kernel):
     try:
         load_kernel(document)
     except KernelFormatError:
-        pass
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.data(), vector_lists())
-def test_mutated_vector_documents_raise_only_vector_errors(data, vectors):
-    document = data.draw(mutated(save_vectors(vectors)))
-    try:
-        load_vectors(document)
-    except VectorError:
         pass
 
 

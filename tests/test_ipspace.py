@@ -10,12 +10,10 @@ from sincov import (
     VectorError,
     buzano_margin,
     cauchy_schwarz_margin,
-    load_vectors,
     margin_sweep,
     normalized_gram,
     richard_margin,
     sample_vectors,
-    save_vectors,
     sincov_defect,
 )
 
@@ -88,7 +86,7 @@ def test_vector_validation():
         IPVector("real", (float("nan"),))
     with pytest.raises(VectorError, match="field"):
         IPVector("rational", (1.0,))
-    # a TypeError and an OverflowError of complex(), and what load_vectors
+    # a TypeError and an OverflowError of complex(), and what the value rule
     # rejects although complex() would parse it: text, bytes and booleans
     for field, coords in (
         ("real", ((1, 2),)), ("real", (1.0, "x")), ("real", (10**400,)),
@@ -327,68 +325,3 @@ def test_margin_sweep_validation():
         margin_sweep(2, 10, "quaternion", 1)
     with pytest.raises(VectorError, match="seed"):
         margin_sweep(2, 10, "real", -1)
-
-
-@pytest.mark.parametrize("field", ["real", "complex"])
-def test_vector_file_roundtrip(field):
-    vectors = sample_vectors(4, 7, field, seed=3)
-    data = save_vectors(vectors)
-    assert load_vectors(data) == vectors
-    assert save_vectors(vectors) == data
-
-
-def test_vector_file_layout():
-    import json
-
-    doc = json.loads(save_vectors([IPVector("complex", (1.0 + 2.0j, 3.0))]))
-    assert list(doc.keys()) == ["field", "dim", "vectors"]
-    assert doc == {"field": "complex", "dim": 2, "vectors": [[[1.0, 2.0], [3.0, 0.0]]]}
-    doc = json.loads(save_vectors([E1]))
-    assert doc == {"field": "real", "dim": 2, "vectors": [[1.0, 0.0]]}
-
-
-def test_vector_file_validation():
-    with pytest.raises(VectorError, match="keys"):
-        load_vectors(b'{"field": "real", "vectors": [[1.0]]}')
-    with pytest.raises(VectorError, match="field"):
-        load_vectors(b'{"field": "f2", "dim": 1, "vectors": [[1.0]]}')
-    with pytest.raises(VectorError, match="coordinates"):
-        load_vectors(b'{"field": "real", "dim": 2, "vectors": [[1.0]]}')
-    with pytest.raises(VectorError, match=r"\[re, im\]"):
-        load_vectors(b'{"field": "complex", "dim": 1, "vectors": [[1.0]]}')
-    with pytest.raises(VectorError, match="invalid"):
-        load_vectors(b"{broken")
-
-
-@pytest.mark.parametrize(
-    "doc, location",
-    [
-        (b'{"field": "real", "dim": 2, "vectors": [["1.5", true]]}', r"vectors\[0\]\[0\]"),
-        (b'{"field": "real", "dim": 2, "vectors": [[1.0, true]]}', r"vectors\[0\]\[1\]"),
-        (b'{"field": "real", "dim": 2.0, "vectors": [[1.0, 2.0]]}', "dim"),
-        (b'{"field": "real", "dim": 0, "vectors": [[]]}', "dim"),
-        (b'{"field": "real", "dim": 2, "vectors": [[{"a": 1}, 2]]}', r"vectors\[0\]\[0\]"),
-        (b'{"field": "real", "dim": 1, "vectors": [[1e999]]}', r"vectors\[0\]\[0\]"),
-        (b'{"field": "real", "dim": 1, "vectors": [[1' + b"0" * 400 + b']]}',
-         r"vectors\[0\]\[0\]"),
-        (b'{"field": "real", "dim": 1, "vectors": [[NaN]]}', "NaN"),
-        (b'{"field": "complex", "dim": 1, "vectors": [[["1", "2"]]]}', r"vectors\[0\]\[0\]\[0\]"),
-        (b'{"field": "complex", "dim": 1, "vectors": [[[true, null]]]}',
-         r"vectors\[0\]\[0\]\[0\]"),
-        (b'{"field": "complex", "dim": 1, "vectors": [[[1.0, null]]]}',
-         r"vectors\[0\]\[0\]\[1\]"),
-        (b'{"field": "real", "dim": 3, "vectors": [[1, 2, 3], [4, 5, 6], [7, null, 9]]}',
-         r"vectors\[2\]\[1\]: expected"),
-        (b'{"field": "real", "dim": 3, "vectors": [[1, 2, 3], [4, 5, 1e999], [7, 8, 9]]}',
-         r"vectors\[1\]\[2\]: non-finite"),
-        (b'{"field": "complex", "dim": 3, "vectors": [[[1, 0], [2, 0], [3, 0]], '
-         b'[[4, 0], [5, 0], [6, 0]], [[7, 0], [8, "0"], [9, 0]]]}',
-         r"vectors\[2\]\[1\]\[1\]: expected"),
-        (b'{"field": "complex", "dim": 3, "vectors": [[[1, 0], [2, 0], [3, 0]], '
-         b'[[4, 0], [5, 0], [1e999, 0]], [[7, 0], [8, 0], [9, 0]]]}',
-         r"vectors\[1\]\[2\]\[0\]: non-finite"),
-    ],
-)
-def test_vector_file_rejects_non_numbers(doc, location):
-    with pytest.raises(VectorError, match=location):
-        load_vectors(doc)

@@ -175,11 +175,32 @@ def _three_point_doc(kind: str, i: int, j: int, slot, token: bytes) -> bytes:
         (b"[1.0]", "expected a real number"),
         (b"1e999", "non-finite value"),
         (b"-1" + b"0" * 400, "non-finite value"),
+        pytest.param(b"1" * 5000, "non-finite value", id="5000-digits"),  # past int()'s limit
     ],
 )
 def test_load_names_the_bad_real(kind, i, j, slot, location, token, message):
     with pytest.raises(KernelFormatError, match=location + message):
         load_kernel(_three_point_doc(kind, i, j, slot, token))
+
+
+@pytest.mark.parametrize("sort_keys", [False, True], ids=["saved-order", "key-sorted"])
+def test_integer_literals_past_the_int_string_limit_are_format_errors(sort_keys):
+    """int() refuses more than 4,300 digits by default.  Such a literal is a
+    format error wherever it stands, in either key order, and in an entry it
+    is named as a 400-digit literal is."""
+
+    def error(doc, literal=b"1" * 5000) -> str:
+        data = json.dumps(doc, sort_keys=sort_keys).encode().replace(b'"BAD"', literal)
+        with pytest.raises(KernelFormatError) as info:
+            load_kernel(data)
+        return str(info.value)
+
+    doc = json.loads(_doc())
+    doc["entries"][1][0]["im"] = "BAD"
+    assert error(doc) == error(doc, b"1" * 400) == "entries[1][0].im: non-finite value"
+    for key in ("labels", "value_kind", "entries", "extra"):
+        error(dict(json.loads(_doc()), **{key: "BAD"}))
+    error("BAD")
 
 
 def test_load_reads_integer_literals_as_reals():

@@ -1,9 +1,9 @@
-"""The loaders check each level of nesting in full, in storage order, before
-the next level and before any real, and name the first bad item of the first
-bad level.  A document with one defect is named by the same error type,
-message and location wherever the defect sits; one with several follows that
-level order in both file formats.  The loaders pause the cyclic garbage
-collector and restore it after."""
+"""The kernel loader checks each level of nesting in full, in storage order,
+before the next level and before any real, and names the first bad item of
+the first bad level.  A document with one defect is named by the same error
+type, message and location wherever the defect sits; one with several
+follows that level order.  The loader pauses the cyclic garbage collector
+and restores it after."""
 
 import copy
 import gc
@@ -13,8 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from sincov import KernelFormatError, load_kernel, load_vectors
-from sincov.ipspace import VectorError
+from sincov import KernelFormatError, load_kernel
 
 N = 4
 PLACES = {"first": (0, 0), "middle": (1, 2), "last": (N - 1, N - 1)}
@@ -87,9 +86,9 @@ def _bytes(doc) -> bytes:
     return json.dumps(doc).encode("utf-8")
 
 
-def _load_error(load, data: bytes):
-    with pytest.raises((KernelFormatError, VectorError)) as info:
-        load(data)
+def _load_error(data: bytes):
+    with pytest.raises(KernelFormatError) as info:
+        load_kernel(data)
     return info.value
 
 
@@ -106,7 +105,7 @@ def test_kernel_entry_defect_is_named(kind, defect, message, suffix, place):
     i, j = PLACES[place]
     doc = _kernel_doc(kind)
     doc["entries"][i][j] = copy.deepcopy(defect)
-    error = _load_error(load_kernel, _bytes(doc))
+    error = _load_error(_bytes(doc))
     location = f"entries[{i}][{j}]{suffix}"
     assert type(error) is KernelFormatError
     assert error.location == location
@@ -120,7 +119,7 @@ def test_kernel_row_defect_is_named(kind, defect, place):
     i = PLACES[place][0]
     doc = _kernel_doc(kind)
     doc["entries"][i] = _bad_row(doc["entries"][i], ROW_DEFECTS[defect])
-    error = _load_error(load_kernel, _bytes(doc))
+    error = _load_error(_bytes(doc))
     assert type(error) is KernelFormatError
     assert error.location == f"entries[{i}]"
     assert str(error) == f"entries[{i}]: row must have {N} entries"
@@ -144,118 +143,37 @@ def test_kernel_errors_come_in_level_order(kind):
     doc = _kernel_doc(kind)
     doc["entries"][0][1] = bad
     doc["entries"][2][0] = bad
-    assert _load_error(load_kernel, _bytes(doc)).location == "entries[0][1]"
+    assert _load_error(_bytes(doc)).location == "entries[0][1]"
     doc["entries"][N - 1] = doc["entries"][N - 1][:-1]  # any bad row is named before any entry
-    assert _load_error(load_kernel, _bytes(doc)).location == f"entries[{N - 1}]"
+    assert _load_error(_bytes(doc)).location == f"entries[{N - 1}]"
     doc = _kernel_doc(kind)
     doc["entries"][0][0] = ENTRY_DEFECTS[kind][-1][0]  # a bad real
     doc["entries"][N - 1][N - 1] = bad  # a bad shape is named before any real
-    assert _load_error(load_kernel, _bytes(doc)).location == f"entries[{N - 1}][{N - 1}]"
+    assert _load_error(_bytes(doc)).location == f"entries[{N - 1}][{N - 1}]"
 
 
 def test_mat2_entry_forms_are_named_before_any_m():
     doc = _kernel_doc("mat2")
     doc["entries"][0][1] = {"m": [[1.0, 2.0], [3.0]]}
     doc["entries"][2][0] = {"n": [[1.0, 2.0], [3.0, 4.0]]}
-    error = _load_error(load_kernel, _bytes(doc))
+    error = _load_error(_bytes(doc))
     assert str(error) == f"entries[2][0]: {MAT2_FORM}"
     doc["entries"][2][0] = {"m": 1.0}  # an m that is not a pair is named before an m row
-    assert str(_load_error(load_kernel, _bytes(doc))) == f"entries[2][0].m: {M_SHAPE}"
-
-
-# field -> (coordinate that replaces vectors[i][j], message, location suffix
-# after vectors[i], with [j] for the coordinate's index)
-DIM = 3
-VECTOR_PLACES = {"first": (0, 0), "middle": (1, 1), "last": (N - 1, DIM - 1)}
-COORDINATE_DEFECTS = {
-    "real": [
-        ("1", NOT_REAL, "[j]"),
-        (True, NOT_REAL, "[j]"),
-        (None, NOT_REAL, "[j]"),
-        ([1.0], NOT_REAL, "[j]"),
-        (10**400, NON_FINITE, "[j]"),
-    ],
-    "complex": [
-        (1.0, "complex coordinates must be [re, im]", ""),
-        ("ab", "complex coordinates must be [re, im]", ""),
-        ({"a": 1.0, "b": 2.0}, "complex coordinates must be [re, im]", ""),
-        ([1.0], "complex coordinates must be [re, im]", ""),
-        ([1.0, 2.0, 3.0], "complex coordinates must be [re, im]", ""),
-        ([1.0, "2"], NOT_REAL, "[j][1]"),
-        ([None, 2.0], NOT_REAL, "[j][0]"),
-        ([1.0, -(10**400)], NON_FINITE, "[j][1]"),
-    ],
-}
-VECTOR_ROW_DEFECTS = ["abc", {"a": 1, "b": 2, "c": 3}, None, [], "short", "long"]  # as ROW_DEFECTS
-
-
-def _vector_doc(field: str) -> dict:
-    def coord(i, j):
-        value = float(i * DIM + j) + 0.25
-        return value if field == "real" else [value, -value]
-
-    return {"field": field, "dim": DIM, "vectors": [[coord(i, j) for j in range(DIM)] for i in range(N)]}
-
-
-@pytest.mark.parametrize("place", VECTOR_PLACES)
-@pytest.mark.parametrize(
-    "field, defect, message, suffix",
-    [(field, *case) for field, cases in COORDINATE_DEFECTS.items() for case in cases],
-)
-def test_vector_coordinate_defect_is_named(field, defect, message, suffix, place):
-    i, j = VECTOR_PLACES[place]
-    doc = _vector_doc(field)
-    doc["vectors"][i][j] = copy.deepcopy(defect)
-    error = _load_error(load_vectors, _bytes(doc))
-    assert type(error) is VectorError
-    assert str(error) == f"vectors[{i}]{suffix.replace('[j]', f'[{j}]')}: {message}"
-
-
-@pytest.mark.parametrize("place", VECTOR_PLACES)
-@pytest.mark.parametrize("defect", range(len(VECTOR_ROW_DEFECTS)))
-@pytest.mark.parametrize("field", ["real", "complex"])
-def test_vector_row_defect_is_named(field, defect, place):
-    i = VECTOR_PLACES[place][0]
-    doc = _vector_doc(field)
-    doc["vectors"][i] = _bad_row(doc["vectors"][i], VECTOR_ROW_DEFECTS[defect])
-    error = _load_error(load_vectors, _bytes(doc))
-    assert type(error) is VectorError
-    assert str(error) == f"vectors[{i}]: expected {DIM} coordinates"
-
-
-def test_vector_rows_are_named_before_any_coordinate():
-    doc = _vector_doc("complex")
-    doc["vectors"][0][1] = 1.0
-    doc["vectors"][2] = doc["vectors"][2][:-1]
-    error = _load_error(load_vectors, _bytes(doc))
-    assert type(error) is VectorError
-    assert str(error) == f"vectors[2]: expected {DIM} coordinates"
+    assert str(_load_error(_bytes(doc))) == f"entries[2][0].m: {M_SHAPE}"
 
 
 def _documents():
-    """(loader, document) pairs for a success and every kind of error."""
+    """Kernel documents: a success and every kind of error."""
     for kind in ENTRY_DEFECTS:
-        yield load_kernel, _bytes(_kernel_doc(kind))
+        yield _bytes(_kernel_doc(kind))
         for defect, _, _ in ENTRY_DEFECTS[kind]:
             doc = _kernel_doc(kind)
             doc["entries"][1][2] = defect
-            yield load_kernel, _bytes(doc)
+            yield _bytes(doc)
         doc = _kernel_doc(kind)
         doc["entries"][1] = None
-        yield load_kernel, _bytes(doc)
-    for data in (b"\xff", b"{", b"[]", b'{"labels": []}', b'{"x": NaN}'):
-        yield load_kernel, data
-    for field in COORDINATE_DEFECTS:
-        yield load_vectors, _bytes(_vector_doc(field))
-        for defect, _, _ in COORDINATE_DEFECTS[field]:
-            doc = _vector_doc(field)
-            doc["vectors"][1][1] = defect
-            yield load_vectors, _bytes(doc)
-        doc = _vector_doc(field)
-        doc["vectors"][1] = None
-        yield load_vectors, _bytes(doc)
-    for data in (b"\xff", b"{", b"[]", b'{"field": "real", "dim": 0, "vectors": []}'):
-        yield load_vectors, data
+        yield _bytes(doc)
+    yield from (b"\xff", b"{", b"[]", b'{"labels": []}', b'{"x": NaN}')
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -264,11 +182,11 @@ def test_loaders_restore_the_callers_gc_state(enabled):
     try:
         (gc.enable if enabled else gc.disable)()
         outcomes = set()
-        for load, data in _documents():
+        for data in _documents():
             try:
-                load(data)
+                load_kernel(data)
                 outcomes.add("ok")
-            except (KernelFormatError, VectorError):
+            except KernelFormatError:
                 outcomes.add("error")
             assert gc.isenabled() is enabled, data[:60]
         assert outcomes == {"ok", "error"}
@@ -296,8 +214,5 @@ def test_concurrent_loads_leave_the_gc_enabled():
 
 
 def test_deeply_nested_documents_are_format_errors():
-    deep = b"[" * 100_000
     with pytest.raises(KernelFormatError, match="nesting too deep"):
-        load_kernel(deep)
-    with pytest.raises(VectorError, match="nesting too deep"):
-        load_vectors(deep)
+        load_kernel(b"[" * 100_000)
