@@ -86,6 +86,12 @@ def _bytes(doc) -> bytes:
     return json.dumps(doc).encode("utf-8")
 
 
+def _key_sorted(doc) -> bytes:
+    """doc with its keys sorted: entries comes first, so the row reader
+    declines it at once and the whole document is parsed."""
+    return json.dumps(doc, sort_keys=True).encode("utf-8")
+
+
 def _load_error(data: bytes):
     with pytest.raises(KernelFormatError) as info:
         load_kernel(data)
@@ -96,33 +102,57 @@ def _bad_row(row: list, defect):
     return row[:-1] if defect == "short" else row + row[:1] if defect == "long" else defect
 
 
-@pytest.mark.parametrize("place", PLACES)
-@pytest.mark.parametrize(
-    "kind, defect, message, suffix",
-    [(kind, *case) for kind, cases in ENTRY_DEFECTS.items() for case in cases],
-)
-def test_kernel_entry_defect_is_named(kind, defect, message, suffix, place):
+ENTRY_CASES = [(kind, *case) for kind, cases in ENTRY_DEFECTS.items() for case in cases]
+
+
+def _check_entry_defect(dump, kind, defect, message, suffix, place):
     i, j = PLACES[place]
     doc = _kernel_doc(kind)
     doc["entries"][i][j] = copy.deepcopy(defect)
-    error = _load_error(_bytes(doc))
+    error = _load_error(dump(doc))
     location = f"entries[{i}][{j}]{suffix}"
     assert type(error) is KernelFormatError
     assert error.location == location
     assert str(error) == f"{location}: {message}"
 
 
+def _check_row_defect(dump, kind, defect, place):
+    i = PLACES[place][0]
+    doc = _kernel_doc(kind)
+    doc["entries"][i] = _bad_row(doc["entries"][i], ROW_DEFECTS[defect])
+    error = _load_error(dump(doc))
+    assert type(error) is KernelFormatError
+    assert error.location == f"entries[{i}]"
+    assert str(error) == f"entries[{i}]: row must have {N} entries"
+
+
+# Documents in the written key order go to the row reader first, which
+# declines at the defect; key-sorted ones are parsed whole from the start.
+# Both must name the defect alike.
+@pytest.mark.parametrize("place", PLACES)
+@pytest.mark.parametrize("kind, defect, message, suffix", ENTRY_CASES)
+def test_kernel_entry_defect_is_named(kind, defect, message, suffix, place):
+    _check_entry_defect(_bytes, kind, defect, message, suffix, place)
+
+
+@pytest.mark.parametrize("place", PLACES)
+@pytest.mark.parametrize("kind, defect, message, suffix", ENTRY_CASES)
+def test_kernel_entry_defect_is_named_in_a_key_sorted_document(kind, defect, message, suffix, place):
+    _check_entry_defect(_key_sorted, kind, defect, message, suffix, place)
+
+
 @pytest.mark.parametrize("place", PLACES)
 @pytest.mark.parametrize("defect", range(len(ROW_DEFECTS)))
 @pytest.mark.parametrize("kind", ["complex", "mat2"])
 def test_kernel_row_defect_is_named(kind, defect, place):
-    i = PLACES[place][0]
-    doc = _kernel_doc(kind)
-    doc["entries"][i] = _bad_row(doc["entries"][i], ROW_DEFECTS[defect])
-    error = _load_error(_bytes(doc))
-    assert type(error) is KernelFormatError
-    assert error.location == f"entries[{i}]"
-    assert str(error) == f"entries[{i}]: row must have {N} entries"
+    _check_row_defect(_bytes, kind, defect, place)
+
+
+@pytest.mark.parametrize("place", PLACES)
+@pytest.mark.parametrize("defect", range(len(ROW_DEFECTS)))
+@pytest.mark.parametrize("kind", ["complex", "mat2"])
+def test_kernel_row_defect_is_named_in_a_key_sorted_document(kind, defect, place):
+    _check_row_defect(_key_sorted, kind, defect, place)
 
 
 @pytest.mark.parametrize("kind", ["complex", "mat2"])
