@@ -25,7 +25,9 @@ _defect keeps each slab's maximum, of the squared moduli for complex kernels.
 Range policy: every norm of a kernel value is the kind's declared norm
 (kernel._KINDS), which is finite whenever the exact norm is inside float64
 range: its fast closed form is recomputed at a power-of-two scale wherever
-its squares could have overflowed or underflowed.  Array work runs with
+its squares could have overflowed or underflowed.  On a kernel whose
+components are 0 or of modulus in [2^-150, 2^150] the guard would keep every
+defect term, so the scan evaluates the bare form alone.  Array work runs with
 numpy's overflow warnings off.  A quantity that leaves float64 range (a
 defect term, the tolerance, a check side, a gauge error) is detected by
 value and raises KernelError; only a factorization's residual reports
@@ -45,8 +47,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .kernel import (
-    _KINDS, COMPLEX, FiniteKernel, KernelError, _cmul, _cnorm, _components, _finite_sides, _in_range,
-    _outer, _ratio_table, _squared_modulus,
+    _KINDS, COMPLEX, FiniteKernel, KernelError, _cmul, _cnorm, _components, _components_in_range,
+    _finite_sides, _in_range, _outer, _ratio_table, _squared_modulus,
 )
 
 TOL_SCALE = 1e-12
@@ -137,18 +139,25 @@ def _checks(names, lhs, rhs, witnesses, tolv: float) -> list[BoundCheck]:
 
 def _slab_function(kernel: FiniteKernel, formula=None):
     """slab(x, out): the defect terms |F(a, x) F(x, b) - F(a, b)| for all (a, b)
-    under the kind's norm, in the buffers of out = _slab_buffers(n), or under an
-    unguarded formula, which writes over the differences: a smaller working set.
-    The result is one of them, so the next call with the same out overwrites it."""
-    mul, norm = _KINDS[kernel.value_kind].mul, _KINDS[kernel.value_kind].norm
+    under the kind's norm, or under a given formula, in the buffers of
+    out = _slab_buffers(n).  A formula, and on a kernel whose terms need no range
+    guard (kernel._components_in_range) the norm's bare formula, runs in place
+    over the differences, in the product's buffers; only the guarded norm takes
+    buffers of its own.  The result is one of the buffers, so the next call with
+    the same out overwrites it."""
+    algebra = _KINDS[kernel.value_kind]
+    if formula is None and _components_in_range(kernel.table):
+        formula = algebra.norm.__wrapped__
     parts = _components(kernel.table, kernel.value_kind)
 
     def slab(x: int, out) -> np.ndarray:
         product_buffers, norm_buffers = out
-        products = mul(*(p[:, x] for p in parts), *(p[x, :] for p in parts),
-                       out=product_buffers, times=_outer)
+        products = algebra.mul(*(p[:, x] for p in parts), *(p[x, :] for p in parts),
+                               out=product_buffers, times=_outer)
         diffs = [np.subtract(q, p, out=q) for q, p in zip(products, parts)]
-        return norm(*diffs, out=norm_buffers) if formula is None else formula(*diffs, out=diffs)
+        if formula is None:
+            return algebra.norm(*diffs, out=norm_buffers)
+        return formula(*diffs, out=product_buffers)
 
     return slab
 
@@ -247,16 +256,21 @@ def _defect(kernel: FiniteKernel) -> float:
     maximum alone: of the norms, or for complex kernels of the squared moduli, whose
     largest is rooted once.  Out of range (see below), the full pass gives it or raises."""
     # sqrt is correctly rounded and monotone, so M = sqrt(max s) is the largest
-    # unguarded modulus, and _cnorm keeps it, inside its window [2^-480, 2^480].
-    # So the terms _cnorm recomputes have s < 2^-960; their squares and sum each
-    # rounded off at most 2^-1075 or a relative 2^-53, so their exact moduli,
-    # and within a few ulps their recomputed ones, are under 2^-479 <= M.
+    # unguarded modulus.  On a kernel whose components are in range, that is
+    # every term's norm (see kernel._components_in_range), so M is the defect,
+    # 0 included.  On any kernel, _cnorm keeps M where it lies inside its
+    # window [2^-480, 2^480], and the terms it recomputes have s < 2^-960;
+    # their squares and sum each rounded off at most 2^-1075 or a relative
+    # 2^-53, so their exact moduli, and within a few ulps their recomputed
+    # ones, are under 2^-479 <= M.
     # np.max propagates NaN, which fails both range tests.
     if kernel.value_kind != COMPLEX:
         c = float(np.max(_scan(kernel, np.max)))
         return c if math.isfinite(c) else sincov_defect(kernel).defect
     c = math.sqrt(np.max(_scan(kernel, np.max, _squared_modulus)))
-    return c if 2.0**-479 <= c <= 2.0**480 else sincov_defect(kernel).defect
+    if 2.0**-479 <= c <= 2.0**480 or _components_in_range(kernel.table):
+        return c
+    return sincov_defect(kernel).defect
 
 
 def is_exact(kernel: FiniteKernel, tol: float) -> bool:

@@ -139,9 +139,25 @@ def _scaled(comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 #     modulus: it rounds away in r1 + r2, at this scale and at any other.
 #     The sums and differences of components are exact wherever they fall
 #     below 2^-1022, so they lose nothing to underflow.
+#
+# The defect terms |F(a, x) F(x, b) - F(a, b)| of a kernel whose every
+# component is 0 or has modulus in _COMPONENT_RANGE = [2^-150, 2^150] never
+# leave the windows.  A float of modulus at least 2^-k is a multiple of
+# 2^(-k-52); rounding is monotone, keeps every float, and keeps a multiple
+# of 2^-j one.  So each component is a multiple of 2^-202, a product of two
+# nonzero ones rounds into [2^-300, 2^300], a multiple of 2^-352, and each
+# sum and difference the scan forms (the product's components, their
+# differences with F, and mat2's p, q, s, t) is a multiple of 2^-352: 0 or of
+# modulus at least 2^-352, and at most 2^301, 2^302 and 2^303 in turn.  A
+# term whose differences are all 0 has formula r = 0.  Any other has a
+# nonzero difference, or for mat2 a nonzero p, q, s or t (all four vanish
+# only when the differences do), and its squares and their sums cannot
+# overflow, so r lies in [2^-353, 2^305], inside both windows, where the
+# guard keeps it: on such a kernel the bare formula is the norm, bit for bit.
 
 def _range_guarded(lo: float, hi: float):
-    """Decorate a norm formula with the range guard for the window [lo, hi]."""
+    """Decorate a norm formula with the range guard for the window [lo, hi];
+    the guarded norm's __wrapped__ is the bare formula."""
 
     def guard(formula):
         @functools.wraps(formula)
@@ -159,6 +175,17 @@ def _range_guarded(lo: float, hi: float):
         return norm
 
     return guard
+
+
+_COMPONENT_RANGE = (2.0**-150, 2.0**150)
+
+
+def _components_in_range(table: np.ndarray) -> bool:
+    """Whether every component of a table of values is 0 or has modulus in
+    _COMPONENT_RANGE, so that its defect terms need no range guard (above)."""
+    lo, hi = _COMPONENT_RANGE
+    m = np.abs(table.view(np.float64))
+    return bool(((m >= lo) & (m <= hi) | (m == 0.0)).all())
 
 
 def _squared_modulus(re, im, out=_UNBUFFERED):
@@ -192,8 +219,8 @@ def _mul2x2(a00, a01, a10, a11, b00, b01, b10, b11, out=_UNBUFFERED, *, times=np
 
 @_range_guarded(2.0**-420, 2.0**480)
 def _norm2x2(m00, m01, m10, m11, out=_UNBUFFERED):
-    """Largest singular value of a real 2x2 matrix, in component form; out[1]
-    and out[2] are scratch.
+    """Largest singular value of a real 2x2 matrix, in component form; out[3]
+    and out[4] are scratch.
 
     M is the sum of a scaled rotation and a scaled reflection (J. Blinn,
     "Consider the lowly 2x2 matrix", IEEE CG&A 1996):
@@ -208,8 +235,12 @@ def _norm2x2(m00, m01, m10, m11, out=_UNBUFFERED):
     guard's window the result is within a relative gamma_4 = 4u / (1 - 4u)
     (u = 2^-53) of the exact norm.
     """
-    r1 = _modulus(np.add(m00, m11, out=out[0]), np.subtract(m10, m01, out=out[1]), out=(out[0], out[1]))
-    r2 = _modulus(np.subtract(m00, m11, out=out[1]), np.add(m10, m01, out=out[2]), out=(out[1], out[2]))
+    # p goes to out[4], s over m00 in out[0], q and then t over m11 in out[3]:
+    # out may be the buffers that hold m00, m01, m10, m11 in out[0] to out[3]
+    p = np.add(m00, m11, out=out[4])
+    s = np.subtract(m00, m11, out=out[0])
+    r1 = _modulus(p, np.subtract(m10, m01, out=out[3]), out=(out[4], out[3]))
+    r2 = _modulus(s, np.add(m10, m01, out=out[3]), out=(out[0], out[3]))
     return np.multiply(0.5, np.add(r1, r2, out=out[0]), out=out[0])
 
 

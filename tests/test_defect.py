@@ -22,7 +22,6 @@ from sincov import analysis
 from sincov.analysis import thread_limit
 from sincov.kernel import KernelError
 
-RANDOM_KERNELS = {"complex": random_complex_kernel, "mat2": random_mat2_kernel}
 
 ORACLE_KERNELS = [
     ("constant-1", generate(GeneratorSpec("constant", value=-1.0, size=3))),
@@ -306,9 +305,22 @@ def test_maximum_pass_equals_the_report_defect_bit_for_bit(kind, n, seed, center
             assert _outcome(analysis._defect, kernel) == want
 
 
-@pytest.mark.parametrize("kind", ["complex", "mat2"])
+# kernels whose components are 0 or in range, among them exact kernels whose
+# defect is 0, below the complex pass's window: the maximum pass needs no
+# second pass for them either
+POWERS_OF_TWO = tuple(2.0**k for k in range(70))
+MAXIMUM_PASS_KERNELS = {
+    "complex": random_complex_kernel(np.random.default_rng(2), 70),
+    "mat2": random_mat2_kernel(np.random.default_rng(2), 70),
+    "constant-1": generate(GeneratorSpec("constant", value=1.0, size=70)),
+    "ratio": generate(GeneratorSpec("ratio", samples=POWERS_OF_TWO)),
+    "mat2_ratio": generate(GeneratorSpec("mat2_ratio", c0=1.0, samples=POWERS_OF_TWO)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MAXIMUM_PASS_KERNELS))
 def test_maximum_pass_needs_no_report_on_kernels_in_range(monkeypatch, kind):
-    kernel = RANDOM_KERNELS[kind](np.random.default_rng(2), 70)
+    kernel = MAXIMUM_PASS_KERNELS[kind]
     want = sincov_defect(kernel).defect
 
     def no_report(kernel):
@@ -316,4 +328,8 @@ def test_maximum_pass_needs_no_report_on_kernels_in_range(monkeypatch, kind):
 
     monkeypatch.setattr("sincov.analysis.sincov_defect", no_report)
     assert analysis._defect(kernel) == want
-    assert is_exact(kernel, want) and not is_exact(kernel, want * (1 - 2**-52))
+    assert is_exact(kernel, want)
+    if kind in ("complex", "mat2"):
+        assert not is_exact(kernel, want * (1 - 2**-52))
+    else:
+        assert want == 0.0

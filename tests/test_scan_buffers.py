@@ -4,6 +4,8 @@ of an unbuffered, broadcasting reference scan bit for bit."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     decreasing_slab_kernel,
@@ -13,8 +15,9 @@ from conftest import (
     unbuffered_slabs,
     usable_cpus,
 )
-from sincov import GeneratorSpec, generate, slice_residual, sincov_defect
-from sincov.kernel import _outer
+from sincov import FiniteKernel, GeneratorSpec, generate, slice_residual, sincov_defect
+from sincov import analysis
+from sincov.kernel import _COMPONENT_RANGE, _KINDS, _components_in_range, _outer, _scaled
 
 SIZES = (1, 2, 63, 64, 65, 130)  # around the smallest size scanned in parallel
 RANDOM = {"complex": random_complex_kernel, "mat2": random_mat2_kernel}
@@ -93,3 +96,109 @@ def test_exact_kernels_scan_to_the_unbuffered_report(monkeypatch, name, threads)
     got = sincov_defect(kernel)
     assert got == expected
     assert got.mean_defect.hex() == expected.mean_defect.hex()
+
+
+# A kernel whose components are 0 or of modulus in _COMPONENT_RANGE is scanned
+# with the norm's bare formula, in place; its reports must still equal the
+# guarded reference's, and one component outside the range brings the guard back.
+LO, HI = _COMPONENT_RANGE
+TOP = 150  # the range is [2^-TOP, 2^TOP]
+WIDTH = {"complex": 2, "mat2": 4}
+
+
+def _draw(rng, shape, zeros: float, top: int = TOP, ends: float = 0.0) -> np.ndarray:
+    """Components 0 (a share zeros), one of the range's ends (a share ends),
+    or +-m 2^e with m in [1, 2) and e in [-top, top)."""
+    sign = rng.choice([-1.0, 1.0], shape)
+    v = sign * np.ldexp(rng.uniform(1.0, 2.0, shape), rng.integers(-top, top, shape))
+    pick = rng.uniform(size=shape)
+    v[pick < ends] = (sign * rng.choice([LO, HI], shape))[pick < ends]
+    v[pick > 1.0 - zeros] = 0.0
+    return v
+
+
+def _range_kernel(kind: str, n: int, seed: int, zeros: float, near: int, outside: str | None):
+    """Components drawn across the range.  near entries F(a, b) are then set
+    within one ulp, per component, of F(a, x) F(x, b), whose factors are drawn
+    again with exponents in [-74, 74) so that the product stays in range (a
+    component of F(a, b) below it becomes 0).  outside puts one component just
+    below or just above the range."""
+    rng = np.random.default_rng(seed)
+    k = WIDTH[kind]
+    comps = _draw(rng, (n, n, k), zeros, ends=0.05)
+    for a, x, b in rng.integers(0, n, (near, 3)):
+        comps[a, x], comps[x, b] = _draw(rng, (2, k), zeros, top=74)
+        product = np.array([float(v) for v in _KINDS[kind].mul(*comps[a, x], *comps[x, b])])
+        step = rng.integers(-1, 2, k)
+        ab = np.where(step == 0, product, np.nextafter(product, np.where(step > 0, np.inf, -np.inf)))
+        comps[a, b] = np.where(np.abs(ab) >= LO, ab, 0.0)
+    if outside is not None:
+        edge = np.nextafter(LO, 0.0) if outside == "below" else np.nextafter(HI, np.inf)
+        comps[tuple(rng.integers(0, d) for d in comps.shape)] = rng.choice([-1.0, 1.0]) * edge
+    table = comps.view(np.complex128)[..., 0] if kind == "complex" else comps.reshape(n, n, 2, 2)
+    return FiniteKernel(tuple(f"p{i}" for i in range(n)), kind, table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["complex", "mat2"]),
+    st.integers(1, 70),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 0.1, 0.5]),
+    st.integers(0, 40),
+    st.sampled_from([None, None, "below", "above"]),
+)
+def test_scans_in_range_equal_the_guarded_reference(kind, n, seed, zeros, near, outside):
+    kernel = _range_kernel(kind, n, seed, zeros, near, outside)
+    assert _components_in_range(kernel.table) == (outside is None)
+    expected = unbuffered_defect_report(kernel)
+    for threads in ("1", "2"):
+        with pytest.MonkeyPatch.context() as mp:
+            usable_cpus(mp, 2)
+            mp.setenv("SINCOV_THREADS", threads)
+            got = sincov_defect(kernel)
+            assert got == expected
+            assert got.mean_defect.hex() == expected.mean_defect.hex()
+            assert analysis._defect(kernel).hex() == expected.defect.hex()
+
+
+def _working_set(monkeypatch, kernel, scan):
+    """The number of (n, n) buffers each scan worker of scan(kernel) made, and
+    the number of rows that kernel._scaled rescaled, call by call."""
+    made, rescaled = [], []
+    slab_buffers = analysis._slab_buffers
+
+    def counted_buffers(n):
+        made.append(slab_buffers(n))
+        return made[-1]
+
+    def counted_scaled(comps):
+        rescaled.append(len(comps))
+        return _scaled(comps)
+
+    monkeypatch.setattr("sincov.analysis._slab_buffers", counted_buffers)
+    monkeypatch.setattr("sincov.kernel._scaled", counted_scaled)
+    scan(kernel)
+    assert all(b.shape == (kernel.n, kernel.n) for out in made for d in out for b in d.values())
+    return [sum(map(len, out)) for out in made], rescaled
+
+
+@pytest.mark.parametrize("scan", [sincov_defect, analysis._defect], ids=["report", "maximum"])
+@pytest.mark.parametrize("kind, buffers", [("complex", 3), ("mat2", 5)])
+def test_in_range_scan_workers_hold_the_product_buffers_alone(monkeypatch, kind, buffers, scan):
+    usable_cpus(monkeypatch, 2)
+    monkeypatch.setenv("SINCOV_THREADS", "2")
+    kernel = RANDOM[kind](np.random.default_rng(6), 64)
+    assert _working_set(monkeypatch, kernel, scan) == ([buffers, buffers], [])
+
+
+@pytest.mark.parametrize("kind, buffers", [("complex", 5), ("mat2", 8)])
+def test_out_of_range_scan_workers_run_the_guard(monkeypatch, kind, buffers):
+    # every term is about 1e-160, below both windows, so the guard rescales it
+    usable_cpus(monkeypatch, 2)
+    monkeypatch.setenv("SINCOV_THREADS", "2")
+    shape = (64, 64) if kind == "complex" else (64, 64, 2, 2)
+    kernel = FiniteKernel(tuple(f"p{i}" for i in range(64)), kind, np.full(shape, 1e-160))
+    made, rescaled = _working_set(monkeypatch, kernel, sincov_defect)
+    assert made == [buffers, buffers]
+    assert sum(rescaled) == 64**3
