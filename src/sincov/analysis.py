@@ -20,7 +20,8 @@ are processed concurrently (0 = auto: the usable CPUs).  sincov_defect keeps
 each slab's argmax, maximum and sum; its argmax breaks ties toward the
 lexicographically smallest (a, x, b) index triple, so results are identical
 for any chunking or thread count.  The checks need the defect alone, and
-_defect keeps each slab's maximum, of the squared moduli for complex kernels.
+_defect keeps each slab's maximum, of the squared moduli for complex kernels
+in range.
 
 Range policy: every norm of a kernel value is the kind's declared norm
 (kernel._KINDS), which is finite whenever the exact norm is inside float64
@@ -252,25 +253,18 @@ def sincov_defect(kernel: FiniteKernel) -> DefectReport:
 
 
 def _defect(kernel: FiniteKernel) -> float:
-    """sincov_defect(kernel).defect, bit for bit, from a pass that keeps each slab's
-    maximum alone: of the norms, or for complex kernels of the squared moduli, whose
-    largest is rooted once.  Out of range (see below), the full pass gives it or raises."""
-    # sqrt is correctly rounded and monotone, so M = sqrt(max s) is the largest
+    """sincov_defect(kernel).defect, bit for bit, from one pass that keeps each slab's
+    maximum alone: of the squared moduli, whose largest is rooted once, for a complex
+    kernel in range, and of the norms for any other.  A term that is not finite makes
+    the full pass raise."""
+    # sqrt is correctly rounded and monotone, so sqrt(max s) is the largest
     # unguarded modulus.  On a kernel whose components are in range, that is
-    # every term's norm (see kernel._components_in_range), so M is the defect,
-    # 0 included.  On any kernel, _cnorm keeps M where it lies inside its
-    # window [2^-480, 2^480], and the terms it recomputes have s < 2^-960;
-    # their squares and sum each rounded off at most 2^-1075 or a relative
-    # 2^-53, so their exact moduli, and within a few ulps their recomputed
-    # ones, are under 2^-479 <= M.
-    # np.max propagates NaN, which fails both range tests.
-    if kernel.value_kind != COMPLEX:
-        c = float(np.max(_scan(kernel, np.max)))
-        return c if math.isfinite(c) else sincov_defect(kernel).defect
-    c = math.sqrt(np.max(_scan(kernel, np.max, _squared_modulus)))
-    if 2.0**-479 <= c <= 2.0**480 or _components_in_range(kernel.table):
-        return c
-    return sincov_defect(kernel).defect
+    # every term's norm (see kernel._components_in_range), so it is the
+    # defect, 0 included.  np.max propagates NaN, which is not finite.
+    if kernel.value_kind == COMPLEX and _components_in_range(kernel.table):
+        return math.sqrt(np.max(_scan(kernel, np.max, _squared_modulus)))
+    c = float(np.max(_scan(kernel, np.max)))
+    return c if math.isfinite(c) else sincov_defect(kernel).defect
 
 
 def is_exact(kernel: FiniteKernel, tol: float) -> bool:

@@ -670,11 +670,16 @@ def generate(spec: GeneratorSpec) -> FiniteKernel:
 # A kernel document in the layout save_kernel writes (its three keys once
 # each and in that order, any JSON whitespace between tokens, nothing but
 # whitespace after the closing brace) is read one row at a time instead, by
-# _by_rows: json's scanner parses a row, the same passes check and flatten
-# it, and its reals go into one preallocated array, so at most one row of
-# Python objects is alive, where the whole document takes several times the
-# file's size.  On any other layout, and on any defect, _by_rows declines and
-# the whole document is read as above, so every error is the same.
+# _by_rows, and its reals go into one preallocated array, so at most one row
+# of Python objects is alive, where the whole document takes several times
+# the file's size.  A row written exactly as save_kernel writes it (no
+# spaces, its keys unescaped and in the written order) is cut at its fixed
+# groups into one flat JSON array of its reals (_flat_rows), from which
+# json's scanner makes the floats and one list and nothing else.  Any other
+# row, spaced, with escaped keys or with its keys in another order, is
+# parsed as JSON values and checked and flattened by the same passes.  On
+# any other layout, and on any defect, _by_rows declines and the whole
+# document is read as above, so every error is the same.
 
 _TOP_KEYS = ("labels", "value_kind", "entries")
 
@@ -735,6 +740,11 @@ def _fields(items: list, keys: tuple, message: str, where) -> list:
     raise KernelFormatError(message, where(k))
 
 
+def _row(kind: str, n: int) -> str:
+    """save_kernel's template of a row of n entries of kind, with a %r for each real."""
+    return "[" + ",".join([_KINDS[kind].entry] * n) + "]"
+
+
 def save_kernel(kernel: FiniteKernel) -> bytes:
     """Serialize deterministically: keys labels, value_kind, entries, no spaces,
     shortest round-trip reals, and a final newline.
@@ -745,7 +755,7 @@ def save_kernel(kernel: FiniteKernel) -> bytes:
     n = kernel.n
     head = json.dumps({"labels": list(kernel.labels), "value_kind": kernel.value_kind},
                       ensure_ascii=False, separators=(",", ":"))
-    row = "[" + ",".join([_KINDS[kernel.value_kind].entry] * n) + "]"
+    row = _row(kernel.value_kind, n)
     reals = kernel.table.reshape(n, -1).view(np.float64).tolist()  # C-ordered, see _values
     body = ",".join([row % tuple(r) for r in reals])
     return f'{head[:-1]},"entries":[{body}]}}\n'.encode("utf-8")
@@ -780,7 +790,6 @@ def _reject_constant(token):
     raise KernelFormatError(f"non-finite literal {token!r} not allowed")
 
 
-_DECODE = json.JSONDecoder(parse_constant=_reject_constant).raw_decode
 _SPACE = re.compile(r"[ \t\n\r]*").match  # JSON's whitespace
 
 
@@ -830,6 +839,59 @@ def _entry_reals(rows: list, n: int, kind: str) -> np.ndarray:
     return _reals(level, lambda k: cell(k // width) + algebra.slots[k % width])
 
 
+_NUMBER_CHARS = b"0123456789+-.eE"  # the characters of JSON numbers
+_LONGEST_REAL = len(repr(-2.2250738585072014e-308))  # 24, the longest float repr
+_DECODER = json.JSONDecoder(parse_int=_int_literal, parse_constant=_reject_constant)  # as _parse
+
+
+def _flat_rows(text: str, kind: str, n: int):
+    """read(pos): the reals of the row of n entries of kind at pos, and the
+    position after it and the whitespace after it, for a row written as
+    save_kernel writes it; None for a row in any other form or with a defect.
+
+    A row has that form when it starts with the row template's head, when
+    deleting its number characters leaves the template's skeleton, and when
+    it holds the separator between entries n - 1 times and the separator
+    inside an entry that is not a lone comma n times.  Each of these groups
+    then stands whole where the template puts it (the skeleton alone would
+    also pass a real written inside a group, or the key "r5e" for "re"), so
+    every number character lies in a real's slot, and the reals are the
+    elements of one flat JSON array: the row with its head and tail cut off,
+    each separator between entries replaced by a comma and every other
+    character of the separator inside an entry deleted.  The search for the
+    row's end stops at the longest row of that form whose reals are float
+    reprs."""
+    algebra = _KINDS[kind]
+    width = len(algebra.slots)
+    parts = algebra.entry.split("%r")  # complex: '{"re":', ',"im":', '}'
+    head, tail, sep = "[" + parts[0], parts[-1] + "]", (parts[-1] + "," + parts[0]).encode()
+    (inner,) = {part.encode() for part in parts[1:-1]} - {b","}
+    cut = inner.replace(b",", b"")
+    fixed = _row(kind, n).replace("%r", "").encode()
+    skeleton = fixed.translate(None, _NUMBER_CHARS)
+    longest = len(fixed) + _LONGEST_REAL * n * width
+
+    def read(pos: int):
+        end = text.find(tail, pos, pos + longest) if text.startswith(head, pos) else -1
+        row = text[pos:end + len(tail)]
+        if not (end >= 0 and row.isascii()):
+            return None
+        row = row.encode()
+        if not (row.translate(None, _NUMBER_CHARS) == skeleton
+                and row.count(sep) == n - 1 and row.count(inner) == n):
+            return None
+        flat = row[len(head):-len(tail)].replace(sep, b",").translate(None, cut)
+        try:
+            values = _DECODER.decode("[%s]" % flat.decode())
+            if len(values) == n * width:  # _reals's error, located by str, is dropped
+                return _reals(values, str), _SPACE(text, end + len(tail)).end()
+        except ValueError:  # JSONDecodeError, or KernelFormatError for a value that is no finite real
+            pass
+        return None
+
+    return read
+
+
 def _by_rows(text: str):
     """(labels, kind, reals) of a kernel document in save_kernel's layout,
     read one row at a time; None for any other text, and for a document with
@@ -844,7 +906,7 @@ def _by_rows(text: str):
 
     def value(pos: int):
         """The JSON value at pos, and the position after it and the whitespace after it."""
-        item, end = _DECODE(text, pos)
+        item, end = _DECODER.raw_decode(text, pos)
         return item, _SPACE(text, end).end()
 
     try:
@@ -863,11 +925,14 @@ def _by_rows(text: str):
         n, width = len(labels), len(_KINDS[kind].slots)
         if n * n * width > len(text):  # each real takes a character at least
             return None
-        reals = np.empty((n, n * width))
+        reals, flat = np.empty((n, n * width)), _flat_rows(text, kind, n)
         pos = skip(pos, "[")
         for i in range(n):
-            row, pos = value(pos)
-            reals[i] = _entry_reals([row], n, kind)
+            if read := flat(pos):
+                reals[i], pos = read
+            else:
+                row, pos = value(pos)
+                reals[i] = _entry_reals([row], n, kind)
             pos = skip(pos, ",]"[i == n - 1])
         return (labels, kind, reals) if skip(pos, "}") == len(text) else None
     except (ValueError, RecursionError):  # KernelFormatError and JSONDecodeError among them
@@ -897,8 +962,10 @@ def load_kernel(data: bytes) -> FiniteKernel:
     """Parse and validate a kernel document; inverse of save_kernel.
 
     A document in save_kernel's layout, spaced in any way, is read one row at
-    a time, with at most one row of Python objects alive; any other is parsed
-    whole.  Both give the same kernel, and a defect the same error."""
+    a time, with at most one row of Python objects alive, and a row written
+    as save_kernel writes it from one flat JSON array of its reals; any other
+    document is parsed whole.  All give the same kernel, and a defect the
+    same error."""
     try:
         text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else str(data)
     except UnicodeDecodeError as exc:

@@ -20,7 +20,7 @@ from conftest import (
 from sincov import FiniteKernel, GeneratorSpec, defect_term, generate, is_exact, sincov_defect
 from sincov import analysis
 from sincov.analysis import thread_limit
-from sincov.kernel import KernelError
+from sincov.kernel import KernelError, _components_in_range
 
 
 ORACLE_KERNELS = [
@@ -306,8 +306,7 @@ def test_maximum_pass_equals_the_report_defect_bit_for_bit(kind, n, seed, center
 
 
 # kernels whose components are 0 or in range, among them exact kernels whose
-# defect is 0, below the complex pass's window: the maximum pass needs no
-# second pass for them either
+# defect is 0: the maximum pass needs no second pass for them either
 POWERS_OF_TWO = tuple(2.0**k for k in range(70))
 MAXIMUM_PASS_KERNELS = {
     "complex": random_complex_kernel(np.random.default_rng(2), 70),
@@ -333,3 +332,38 @@ def test_maximum_pass_needs_no_report_on_kernels_in_range(monkeypatch, kind):
         assert not is_exact(kernel, want * (1 - 2**-52))
     else:
         assert want == 0.0
+
+
+def _with_tiny_component(kernel: FiniteKernel) -> FiniteKernel:
+    table = kernel.table.copy()
+    table[3, 5] = complex(table[3, 5].real, 1e-200)
+    return FiniteKernel(kernel.labels, kernel.value_kind, table)
+
+
+# complex kernels with a component below the range, whose terms take the
+# range guard: one scan, of the guarded norms
+OUT_OF_RANGE_KERNELS = {
+    "constant-1e-160": generate(GeneratorSpec("constant", value=1e-160, size=70)),
+    "tiny-component": _with_tiny_component(random_complex_kernel(np.random.default_rng(3), 70)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_RANGE_KERNELS))
+def test_maximum_pass_scans_out_of_range_complex_kernels_once(monkeypatch, name):
+    kernel = OUT_OF_RANGE_KERNELS[name]
+    assert not _components_in_range(kernel.table)
+    want = sincov_defect(kernel).defect
+    scans = []
+
+    def counted(kernel, reduce, formula=None):
+        scans.append(formula)
+        return scan(kernel, reduce, formula)
+
+    def no_report(kernel):
+        raise AssertionError("fell back to the report's pass")
+
+    scan = analysis._scan
+    monkeypatch.setattr("sincov.analysis._scan", counted)
+    monkeypatch.setattr("sincov.analysis.sincov_defect", no_report)
+    assert analysis._defect(kernel) == want
+    assert scans == [None]  # the kind's guarded norm

@@ -2,9 +2,12 @@
 
 import copy
 import json
+import math
+import re
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,9 +36,9 @@ JSON_VALUES = st.recursive(
 
 
 @st.composite
-def kernels(draw):
+def kernels(draw, max_points=4):
     kind = draw(st.sampled_from(["complex", "mat2"]))
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, max_points))
     width = 2 if kind == "complex" else 4
     reals = np.array(draw(st.lists(REALS, min_size=n * n * width, max_size=n * n * width)))
     if kind == "complex":
@@ -246,3 +249,188 @@ def test_key_sorted_documents_are_read_whole():
     with mock.patch.object(kernel_module, "_parse", wraps=kernel_module._parse) as parse:
         assert load_kernel(data) == kernel
     assert parse.call_count == 1
+
+
+# A row written as save_kernel writes it is read from one flat JSON array of
+# its reals; a row in any other form, or with a defect, is not.  The edits
+# below come near that form: each document must load as the whole document
+# does.
+N_EDIT = 3
+PLACES = {"first": 0, "middle": 1, "last": N_EDIT - 1}  # entry k of row k
+TEMPLATES = {"complex": '{"re":%s,"im":%s}', "mat2": '{"m":[[%s,%s],[%s,%s]]}'}
+
+
+def _edit_kernel(kind: str) -> FiniteKernel:
+    reals = np.arange(N_EDIT * N_EDIT * (2 if kind == "complex" else 4)) + 0.25
+    shape = (N_EDIT, N_EDIT) if kind == "complex" else (N_EDIT, N_EDIT, 2, 2)
+    table = reals.view(np.complex128).reshape(shape) if kind == "complex" else reals.reshape(shape)
+    return FiniteKernel(tuple(f"p{i}" for i in range(N_EDIT)), kind, table)
+
+
+def _edited(kind: str, k: int, template=None, literal=None, moved=None) -> bytes:
+    """The saved kernel of _edit_kernel(kind) with entry k of row k written
+    from template (the kind's own by default) and its first real written as
+    literal if one is given; moved ("front" or "back") moves the row's first
+    real in front of the row's opening bracket or behind its closing one."""
+    kernel = _edit_kernel(kind)
+    head = save_kernel(kernel).decode().split('"entries":', 1)[0]
+    rows = []
+    for r, row in enumerate(kernel.table.reshape(N_EDIT, N_EDIT, -1).view(np.float64).tolist()):
+        texts = [[repr(x) for x in entry] for entry in np.reshape(row, (N_EDIT, -1)).tolist()]
+        forms = [TEMPLATES[kind]] * N_EDIT
+        front = back = ""
+        if r == k:
+            forms[k] = template or forms[k]
+            if literal is not None:
+                texts[k][0] = literal
+            if moved == "front":
+                front, texts[0][0] = texts[0][0], ""
+            elif moved == "back":
+                back, texts[0][0] = texts[0][0], ""
+        entries = ",".join(form % tuple(t) for form, t in zip(forms, texts))
+        rows.append(front + "[" + entries + "]" + back)
+    return (head + '"entries":[' + ",".join(rows) + "]}\n").encode()
+
+
+def _moved_in_front(template: str) -> str:
+    return "%s" + template.replace("%s", "", 1)
+
+
+TEMPLATE_EDITS = {
+    "complex": {
+        "real in front of its entry": _moved_in_front(TEMPLATES["complex"]),
+        "real in the inner separator": '{"re":%s,%s"im":}',
+        "im before re": '{"im":%s,"re":%s}',
+        "re escaped": '{"\\u0072e":%s,"im":%s}',
+        **{f"key {key}": TEMPLATES["complex"].replace('"re"', key)
+           for key in ('"r"', '"ree"', '"er"', '"5re"')},
+    },
+    "mat2": {
+        "real in front of its entry": _moved_in_front(TEMPLATES["mat2"]),
+        "real behind the first bracket": '{"m":[[%s,]%s,[%s,%s]]}',
+        "real behind the last bracket": '{"m":[[%s,%s],[%s,]%s]}',
+        "m split 3 + 1": '{"m":[[%s,%s,%s],[%s]]}',
+        "m escaped": '{"\\u006d":[[%s,%s],[%s,%s]]}',
+        **{f"key {key}": TEMPLATES["mat2"].replace('"m"', key)
+           for key in ('""', '"5m"', '"me"', '"em"')},
+    },
+}
+LITERALS = ["+1", "01", "1.", ".5", "-", "", "-0", "1e999", "7" * 400, "7" * 5000]
+VALID_EDITS = {"im before re", "re escaped", "m escaped", "-0"}
+EDITS = [
+    (kind, name, {"template": template})
+    for kind, edits in TEMPLATE_EDITS.items() for name, template in edits.items()
+] + [
+    (kind, f"{len(literal)} digits" if len(literal) > 8 else literal or "empty slot",
+     {"literal": literal})
+    for kind in TEMPLATES for literal in LITERALS
+] + [
+    (kind, f"real {side} the row", {"moved": side}) for kind in TEMPLATES for side in ("front", "back")
+]
+
+
+@pytest.mark.parametrize("place", PLACES)
+@pytest.mark.parametrize("kind, name, edit", EDITS, ids=[f"{k}-{n}" for k, n, _ in EDITS])
+def test_edited_compact_rows_load_as_the_whole_document_does(kind, name, edit, place):
+    data = _edited(kind, PLACES[place], **edit)
+    outcome = _outcome(data)
+    assert outcome == _document_outcome(data)
+    assert isinstance(outcome, bytes) == (name in VALID_EDITS)
+
+
+@pytest.mark.parametrize("kind", sorted(TEMPLATES))
+def test_a_negative_zero_integer_reads_as_positive_zero(kind):
+    kernel = load_kernel(_edited(kind, 1, literal="-0"))  # entry (1, 1)
+    first = kernel.table[1, 1].real if kind == "complex" else kernel.table[1, 1, 0, 0]
+    assert first == 0.0 and math.copysign(1.0, first) == 1.0
+
+
+# one real of a row moved to any other place in it, or characters of the
+# kernel document's grammar inserted, deleted, swapped or moved
+REAL = re.compile(r"(?<=[:\[,])[-0-9][0-9.eE+-]*")
+GRAMMAR = '0123456789+-.eE,[]{}":rim '
+
+
+@st.composite
+def edited_entries(draw, data: bytes) -> bytes:
+    text = data.decode()
+    lo = text.index('"entries":') + len('"entries":')
+    hi = len(text) - 2  # before "}\n"
+    entries = text[lo:hi]
+    if draw(st.booleans()):  # move one real within its row
+        rows = [(m.start(), m.end()) for m in re.finditer(r"\[\{.*?\}\](?=,\[\{|\]$)", entries)]
+        start, end = draw(st.sampled_from(rows))
+        row = entries[start:end]
+        real = draw(st.sampled_from(list(REAL.finditer(row))))
+        rest = row[:real.start()] + row[real.end():]
+        at = draw(st.integers(0, len(rest)))
+        entries = entries[:start] + rest[:at] + real.group() + rest[at:] + entries[end:]
+    else:
+        k = draw(st.integers(1, 3))
+        a = draw(st.integers(0, len(entries) - k))
+        chunk = entries[a:a + k]
+        op = draw(st.sampled_from(["insert", "delete", "swap", "move"]))
+        if op == "insert":
+            entries = entries[:a] + draw(st.text(GRAMMAR, min_size=k, max_size=k)) + entries[a:]
+        elif op == "swap" and a + 2 * k <= len(entries):
+            entries = entries[:a] + entries[a + k:a + 2 * k] + chunk + entries[a + 2 * k:]
+        else:
+            entries = entries[:a] + entries[a + k:]
+            if op == "move":
+                at = draw(st.integers(0, len(entries)))
+                entries = entries[:at] + chunk + entries[at:]
+    return (text[:lo] + entries + text[hi:]).encode()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), kernels(max_points=3))
+def test_randomly_edited_entries_load_as_the_whole_document_does(data, kernel):
+    document = data.draw(edited_entries(save_kernel(kernel)))
+    assert _outcome(document) == _document_outcome(document), document
+
+
+def _no_row_parse(*args):
+    raise AssertionError("a row was parsed as JSON values")
+
+
+@pytest.mark.parametrize("n", [1, 2, 70])
+@pytest.mark.parametrize("kind", ["complex", "mat2"])
+def test_saved_rows_are_read_from_flat_arrays(kind, n):
+    rng = np.random.default_rng(n)
+    shape = (n, n) if kind == "complex" else (n, n, 2, 2)
+    table = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    if kind == "complex":
+        table = table + 1j * rng.standard_normal(shape)
+    kernel = FiniteKernel(tuple(f"p{i}" for i in range(n)), kind, table)
+    with mock.patch.object(kernel_module, "_entry_reals", _no_row_parse):
+        back = load_kernel(save_kernel(kernel))
+    assert back.table.tobytes() == kernel.table.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["complex", "mat2"])
+def test_a_respaced_row_is_parsed_and_the_others_read_flat(kind):
+    """Both row paths in one document: the row reader reads it whole."""
+    kernel = _edit_kernel(kind)
+    saved = save_kernel(kernel)
+    doc = json.loads(saved)
+    head = saved.decode().split('"entries":', 1)[0]
+    rows = [json.dumps(row, separators=(",", ":")) for row in doc["entries"]]
+    rows[1] = json.dumps(doc["entries"][1], indent=1)
+    data = (head + '"entries":[' + ",".join(rows) + "]}\n").encode()
+    rows_parsed = mock.Mock(wraps=kernel_module._entry_reals)
+    with mock.patch.object(kernel_module, "_parse", _unparsed), \
+            mock.patch.object(kernel_module, "_entry_reals", rows_parsed):
+        assert load_kernel(data) == kernel
+    assert rows_parsed.call_count == 1
+
+
+def test_rows_longer_than_float_reprs_are_parsed():
+    """The flat path's search for a row's end stops at the longest row whose
+    reals are float reprs; a longer row is parsed as JSON values."""
+    kernel = FiniteKernel(("a", "b"), "complex", np.full((2, 2), 0.25 + 0.5j))
+    zeros = b"0" * 30
+    data = save_kernel(kernel).replace(b"0.25", b"0.25" + zeros).replace(b"0.5", b"0.5" + zeros)
+    rows_parsed = mock.Mock(wraps=kernel_module._entry_reals)
+    with mock.patch.object(kernel_module, "_entry_reals", rows_parsed):
+        assert load_kernel(data) == kernel
+    assert rows_parsed.call_count == 2
