@@ -26,13 +26,15 @@ from .kernel import (
 
 PROG = "sincov"
 
-# The interpreter's shutdown runs the cyclic garbage collector over every
-# object still alive, about 22,000 of them after the imports: two thirds of
-# a short process's exit time.  Freezing the heap at exit moves them to the
-# permanent generation, which no collection visits, so cycles among them are
-# left for the operating system to reclaim.  Standard streams are still
-# flushed at shutdown.  Only the command line registers this: importing
-# sincov as a library keeps the normal exit.
+# The command line owns its process, so it alone sets the cyclic garbage
+# collector's policy; importing sincov as a library leaves the collector
+# alone.  main runs each command with it off: a kernel document parsed whole
+# is many lists and dicts and no cycles, and building it would trigger
+# hundreds of collections that free nothing.  At exit the heap is frozen:
+# shutdown's collection would visit every object still alive, about 22,000
+# after the imports (two thirds of a short process's exit time), and no
+# collection visits the permanent generation, so cycles there are left to
+# the operating system.  Standard streams are still flushed at shutdown.
 atexit.register(gc.freeze)
 
 
@@ -183,6 +185,8 @@ def _cmd_sweep(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (KernelError, VectorError, OSError) as exc:
@@ -191,6 +195,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # a fault of the program, not of its input or a bound
         _error("internal", f"{type(exc).__name__}: {exc}")
         return 4
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -10,11 +10,9 @@ between threads.
 from __future__ import annotations
 
 import functools
-import gc
 import json
 import math
 import re
-import threading
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from itertools import chain
@@ -684,37 +682,6 @@ def generate(spec: GeneratorSpec) -> FiniteKernel:
 _TOP_KEYS = ("labels", "value_kind", "entries")
 
 
-_gc_lock = threading.Lock()
-_gc_pause = {"depth": 0, "resume": False}  # guarded by _gc_lock
-
-
-def _gc_paused(fn):
-    """Run fn with Python's cyclic garbage collector paused, and restore the
-    caller's setting after.  A parsed JSON document holds no reference
-    cycles, but the many lists and dicts it is made of would trigger full
-    collections while it is built.
-
-    The collector is process-wide, so concurrent calls share one pause: the
-    first saves the setting and the last restores it.  A save per call would
-    let a call that starts inside another's pause save "off", and leave the
-    collector off after both."""
-    @functools.wraps(fn)
-    def run(*args, **kwargs):
-        with _gc_lock:
-            if _gc_pause["depth"] == 0:
-                _gc_pause["resume"] = gc.isenabled()
-                gc.disable()
-            _gc_pause["depth"] += 1
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            with _gc_lock:
-                _gc_pause["depth"] -= 1
-                if _gc_pause["depth"] == 0 and _gc_pause["resume"]:
-                    gc.enable()
-    return run
-
-
 def _spread(items: list, width: int, message: str, where) -> list:
     """The elements of the lists in items, in order.  Every item must be a
     list of exactly width elements; the first item k that is not is reported
@@ -957,7 +924,6 @@ def _document(doc) -> tuple:
     return labels, kind, _entry_reals(entries, n, kind)
 
 
-@_gc_paused
 def load_kernel(data: bytes) -> FiniteKernel:
     """Parse and validate a kernel document; inverse of save_kernel.
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import IN_RANGE_KERNELS, OVERFLOWING_KERNELS
-from sincov import FiniteKernel, save_kernel, sincov_defect
+from sincov import FiniteKernel, KernelFormatError, save_kernel, sincov_defect
 from sincov.cli import build_parser, main
 from sincov.kernel import GENERATOR_VARIANTS
 
@@ -366,3 +367,30 @@ def test_only_the_cli_freezes_the_heap_at_exit(module, frozen):
     # the import, runs after anything the import registered
     probe = f"import atexit, gc; atexit.register(lambda: print(gc.get_freeze_count())); import {module}"
     assert (int(_python_output(probe)) > 0) == frozen
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "outcome, code",
+    [(0, 0), (1, 1), (KernelFormatError("bad"), 3), (RuntimeError("fault"), 4)],
+)
+def test_commands_run_with_the_gc_off_and_restore_the_callers_setting(
+    monkeypatch, enabled, outcome, code
+):
+    seen = []
+
+    def command(args):
+        seen.append(gc.isenabled())
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr("sincov.cli._cmd_check", command)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert main(["check", "-i", "k.json"]) == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]

@@ -1,6 +1,6 @@
 """Every private function, class, constant and method of the package has a
-caller: a name that is only defined is code to delete.  And every name that
-the package exports exists."""
+caller: a name that is only defined is code to delete.  Every module reads
+what it imports, and every name that the package exports exists."""
 
 import ast
 from collections import Counter
@@ -59,6 +59,30 @@ def test_every_private_top_level_name_has_a_caller():
 def test_every_private_method_has_a_caller():
     unused = _unused(_class_bodies)
     assert not unused, f"defined but never used: {unused}"
+
+
+def _unread_imports(tree: ast.Module) -> list[str]:
+    """The names that a module's top-level imports bind and no code reads."""
+    imports = [stmt for stmt in tree.body if isinstance(stmt, (ast.Import, ast.ImportFrom))]
+    imported = [
+        (alias.asname or alias.name).split(".")[0]
+        for stmt in imports
+        if getattr(stmt, "module", None) != "__future__"
+        for alias in stmt.names
+    ]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [name for name in imported if name not in read]
+
+
+def test_every_module_reads_its_imports():
+    """Except __init__.py, whose imports are the package's exports."""
+    unread = [
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        for name in _unread_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert not unread, f"imported but never read: {unread}"
 
 
 def test_every_name_in_all_is_defined():

@@ -266,6 +266,9 @@ def test_load_rejects_garbage():
         load_kernel(b"\xff\xfe\x00")
     with pytest.raises(KernelFormatError, match="object"):
         load_kernel(b"[1, 2, 3]")
+    # json.loads names a leading byte order mark, where JSONDecoder.decode says "Expecting value"
+    with pytest.raises(KernelFormatError, match="^invalid JSON: Unexpected UTF-8 BOM"):
+        load_kernel("\ufeff".encode() + save_kernel(FiniteKernel(("a",), "complex", [[1.0]])))
 
 
 def test_kernel_constructor_validation():

@@ -2,8 +2,8 @@
 before the next level and before any real, and names the first bad item of
 the first bad level.  A document with one defect is named by the same error
 type, message and location wherever the defect sits; one with several
-follows that level order.  The loader pauses the cyclic garbage collector
-and restores it after."""
+follows that level order.  The loader leaves the cyclic garbage collector's
+setting to its caller."""
 
 import copy
 import gc
@@ -14,6 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from sincov import KernelFormatError, load_kernel
+from sincov.kernel import _by_rows
 
 N = 4
 PLACES = {"first": (0, 0), "middle": (1, 2), "last": (N - 1, N - 1)}
@@ -208,6 +209,8 @@ def _documents():
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_loaders_restore_the_callers_gc_state(enabled):
+    """A load, successful or not, leaves the collector on or off as the
+    caller set it."""
     was = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()
@@ -226,7 +229,7 @@ def test_loaders_restore_the_callers_gc_state(enabled):
 
 def test_concurrent_loads_leave_the_gc_enabled():
     """Loads on more threads than cores, switching often: each load's result
-    is right and the collector is on again once all are done."""
+    is right and the collector is still on once all are done."""
     data = {kind: _bytes(_kernel_doc(kind)) for kind in ENTRY_DEFECTS}
     expected = {kind: load_kernel(blob) for kind, blob in data.items()}
     was, interval = gc.isenabled(), sys.getswitchinterval()
@@ -240,6 +243,23 @@ def test_concurrent_loads_leave_the_gc_enabled():
         assert gc.isenabled()
     finally:
         sys.setswitchinterval(interval)
+        (gc.enable if was else gc.disable)()
+
+
+def test_a_gc_change_made_during_a_load_survives_it(monkeypatch):
+    """Code that turns the collector off while a load runs, on another
+    thread, say, owns the setting: the load does not turn it back on."""
+    def disabling(text):
+        gc.disable()
+        return _by_rows(text)
+
+    monkeypatch.setattr("sincov.kernel._by_rows", disabling)
+    was = gc.isenabled()
+    try:
+        gc.enable()
+        load_kernel(_bytes(_kernel_doc("mat2")))
+        assert not gc.isenabled()
+    finally:
         (gc.enable if was else gc.disable)()
 
 
