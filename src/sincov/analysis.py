@@ -20,8 +20,7 @@ are processed concurrently (0 = auto: the usable CPUs).  sincov_defect keeps
 each slab's argmax, maximum and sum; its argmax breaks ties toward the
 lexicographically smallest (a, x, b) index triple, so results are identical
 for any chunking or thread count.  The checks need the defect alone, and
-_defect keeps each slab's maximum, of the squared moduli for complex kernels
-in range.
+_defect keeps each slab's maximum, of the squared moduli for complex kernels.
 
 Range policy: every norm of a kernel value is the kind's declared norm
 (kernel._KINDS), which is finite whenever the exact norm is inside float64
@@ -42,7 +41,6 @@ import json
 import math
 import os
 import threading
-from collections import defaultdict
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -138,74 +136,88 @@ def _checks(names, lhs, rhs, witnesses, tolv: float) -> list[BoundCheck]:
     return [BoundCheck(*c) for c in zip(names, lhs.tolist(), rhs.tolist(), holds, witnesses)]
 
 
-def _slab_function(kernel: FiniteKernel, formula=None):
-    """slab(x, out): the defect terms |F(a, x) F(x, b) - F(a, b)| for all (a, b)
-    under the kind's norm, or under a given formula, in the buffers of
-    out = _slab_buffers(n).  A formula, and on a kernel whose terms need no range
-    guard (kernel._components_in_range) the norm's bare formula, runs in place
-    over the differences, in the product's buffers; only the guarded norm takes
-    buffers of its own.  The result is one of the buffers, so the next call with
-    the same out overwrites it."""
+def _norm_in_place(kernel: FiniteKernel, formula=None):
+    """(norm, buffers): norm(diffs, out) evaluates the kind's norm, or a given
+    formula, on the component arrays diffs, which lie in the product buffers
+    out[0] of out = buffers().  A formula, and on a kernel whose terms need no
+    range guard (kernel._components_in_range) the norm's bare formula, runs in
+    place over the diffs; only the guarded norm takes buffers of its own,
+    out[1].  The result is one of the buffers, so the next use of the same out
+    overwrites it."""
     algebra = _KINDS[kernel.value_kind]
     if formula is None and _components_in_range(kernel.table):
         formula = algebra.norm.__wrapped__
-    parts = _components(kernel.table, kernel.value_kind)
 
-    def slab(x: int, out) -> np.ndarray:
+    def norm(diffs, out) -> np.ndarray:
         product_buffers, norm_buffers = out
-        products = algebra.mul(*(p[:, x] for p in parts), *(p[x, :] for p in parts),
-                               out=product_buffers, times=_outer)
-        diffs = [np.subtract(q, p, out=q) for q, p in zip(products, parts)]
         if formula is None:
             return algebra.norm(*diffs, out=norm_buffers)
         return formula(*diffs, out=product_buffers)
 
-    return slab
+    return norm, functools.partial(_slab_buffers, kernel.n, algebra.outs, formula is None)
 
 
-def _slab_buffers(n: int):
-    """The buffers of one slab evaluation, for the product and for the norm:
-    two maps from index to an (n, n) float64 array made on first use."""
-    return tuple(defaultdict(lambda: np.empty((n, n))) for _ in range(2))
+def _slab_buffers(n: int, outs, guarded: bool):
+    """One set of buffers for _norm_in_place, all made here: (n, n) float64
+    arrays under the indices that the kind's product writes and, for the
+    guarded norm, under those that the norm writes (kernel._KINDS's outs)."""
+    product, norm = outs
+    return ({k: np.empty((n, n)) for k in product}, {k: np.empty((n, n)) for k in norm if guarded})
 
 
-def _scan(kernel: FiniteKernel, reduce, formula=None) -> list:
-    """[reduce(D) for each slab x], D its terms (see _slab_function), in chunks
-    of slabs on up to thread_limit() threads.  The calling thread scans the
-    first chunk; the first failed chunk's error is raised."""
-    n, slab = kernel.n, _slab_function(kernel, formula)
-    results = [None] * n
+def _slab_function(kernel: FiniteKernel, formula=None):
+    """(slab, buffers): slab(x, out) gives the defect terms
+    |F(a, x) F(x, b) - F(a, b)| for all (a, b), under the kind's norm or a
+    given formula, in the buffers of out = buffers() (see _norm_in_place)."""
+    algebra = _KINDS[kernel.value_kind]
+    norm, buffers = _norm_in_place(kernel, formula)
+    parts = _components(kernel.table, kernel.value_kind)
+
+    def slab(x: int, out) -> np.ndarray:
+        products = algebra.mul(*(p[:, x] for p in parts), *(p[x, :] for p in parts),
+                               out=out[0], times=_outer)
+        return norm([np.subtract(q, p, out=q) for q, p in zip(products, parts)], out)
+
+    return slab, buffers
+
+
+def _scan(kernel: FiniteKernel, reduce, formula=None, xs=None) -> list:
+    """[reduce(D) for each slab x in xs, all slabs by default], D its terms (see
+    _slab_function), in chunks of slabs on up to thread_limit() threads.  The
+    calling thread scans the first chunk; the first failed chunk's error is
+    raised."""
+    xs = range(kernel.n) if xs is None else xs
+    slab, buffers = _slab_function(kernel, formula)
+    workers = min(thread_limit(), len(xs))
+    step = -(-len(xs) // workers) if kernel.n >= _PARALLEL_MIN_SIZE else len(xs)
+    chunks = [range(lo, min(lo + step, len(xs))) for lo in range(0, len(xs), step)]
+    # Every chunk's buffers are made here, in the calling thread, and reused
+    # for each of the chunk's slabs.  glibc's malloc gives each thread an
+    # arena of its own, and what a thread frees goes back to its arena:
+    # buffers made in a worker would leave their pages there when it exits,
+    # and the calling thread's later arrays would need fresh ones.
+    outs = [buffers() for _ in chunks]
+    results = [None] * len(xs)
+    errors: list[BaseException | None] = [None] * len(chunks)
 
     @_in_range
-    def scan(xs: range) -> None:
-        out = _slab_buffers(n)  # one set per worker, reused for each of its slabs
-        for x in xs:
-            results[x] = reduce(slab(x, out))
+    def scan(i: int) -> None:
+        try:
+            for k in chunks[i]:
+                results[k] = reduce(slab(xs[k], outs[i]))
+        except BaseException as exc:  # kept for the caller, which re-raises it
+            errors[i] = exc
 
-    workers = min(thread_limit(), n)
-    if workers > 1 and n >= _PARALLEL_MIN_SIZE:
-        step = -(-n // workers)
-        chunks = [range(lo, min(lo + step, n)) for lo in range(0, n, step)]
-        errors: list[BaseException | None] = [None] * len(chunks)
-
-        def scan_chunk(i: int) -> None:
-            try:
-                scan(chunks[i])
-            except BaseException as exc:  # kept for the caller, which re-raises it
-                errors[i] = exc
-
-        threads = [threading.Thread(target=scan_chunk, args=(i,)) for i in range(1, len(chunks))]
-        for thread in threads:
-            thread.start()
-        scan_chunk(0)  # the calling thread scans the first chunk
-        for thread in threads:
-            thread.join()
-        # a failed chunk left its slots of results unwritten
-        for exc in errors:
-            if exc is not None:
-                raise exc
-    else:
-        scan(range(n))
+    threads = [threading.Thread(target=scan, args=(i,)) for i in range(1, len(chunks))]
+    for thread in threads:
+        thread.start()
+    scan(0)  # the calling thread scans the first chunk
+    for thread in threads:
+        thread.join()
+    # a failed chunk left its slots of results unwritten
+    for exc in errors:
+        if exc is not None:
+            raise exc
     return results
 
 
@@ -254,16 +266,29 @@ def sincov_defect(kernel: FiniteKernel) -> DefectReport:
 
 def _defect(kernel: FiniteKernel) -> float:
     """sincov_defect(kernel).defect, bit for bit, from one pass that keeps each slab's
-    maximum alone: of the squared moduli, whose largest is rooted once, for a complex
-    kernel in range, and of the norms for any other.  A term that is not finite makes
-    the full pass raise."""
-    # sqrt is correctly rounded and monotone, so sqrt(max s) is the largest
-    # unguarded modulus.  On a kernel whose components are in range, that is
-    # every term's norm (see kernel._components_in_range), so it is the
-    # defect, 0 included.  np.max propagates NaN, which is not finite.
-    if kernel.value_kind == COMPLEX and _components_in_range(kernel.table):
-        return math.sqrt(np.max(_scan(kernel, np.max, _squared_modulus)))
-    c = float(np.max(_scan(kernel, np.max)))
+    maximum alone: for a complex kernel of the squared moduli, whose largest is rooted
+    once per slab, and for a mat2 kernel of the norms.  Out of range, a complex slab
+    whose root leaves the window below is scanned again with the guarded norm.  A term
+    that is not finite makes the full pass raise."""
+    if kernel.value_kind != COMPLEX:
+        c = float(np.max(_scan(kernel, np.max)))
+        return c if math.isfinite(c) else sincov_defect(kernel).defect
+    # sqrt is correctly rounded and monotone, so M = sqrt(max s) is the
+    # largest unguarded modulus of its slab.  On a kernel whose components are
+    # in range, that is every term's norm (see kernel._components_in_range),
+    # so M is the slab's maximum, 0 included.  On any kernel, _cnorm keeps M
+    # where it lies inside its window [2^-480, 2^480], and the terms of the
+    # slab it recomputes have s < 2^-960; their squares and sum each rounded
+    # off at most 2^-1075 or a relative 2^-53, so their exact moduli, and
+    # within a few ulps their recomputed ones, are under 2^-479.  So where
+    # 2^-479 <= M <= 2^480, M is the slab's guarded maximum; any other slab
+    # (NaN fails both tests) is scanned again with the guarded norm.
+    roots = np.sqrt(_scan(kernel, np.max, _squared_modulus))
+    if not _components_in_range(kernel.table):
+        redo = np.flatnonzero(~((roots >= 2.0**-479) & (roots <= 2.0**480)))
+        if redo.size:
+            roots[redo] = _scan(kernel, np.max, xs=redo)
+    c = float(roots.max())  # np.max propagates NaN, which is not finite
     return c if math.isfinite(c) else sincov_defect(kernel).defect
 
 
@@ -291,7 +316,8 @@ def _run_checks(kernel, families, ref=None, *, defect=None, tol=None, at=None) -
 
 
 def _slice_sides(kernel: FiniteKernel, i0: int, c: float):
-    D = _slab_function(kernel)(i0, _slab_buffers(kernel.n))
+    slab, buffers = _slab_function(kernel)
+    D = slab(i0, buffers())
     a, b = divmod(int(D.argmax()), kernel.n)
     return ["slice_residual"], D[a, b], c, [(kernel.labels[a], kernel.labels[b])]
 
@@ -404,21 +430,26 @@ def gauge_bound(
 
 
 def _diagonal_sides(kernel: FiniteKernel, i0, c: float):
-    labels = kernel.labels
-    mul, norm = _KINDS[kernel.value_kind].mul, _KINDS[kernel.value_kind].norm
+    labels, n, algebra = kernel.labels, kernel.n, _KINDS[kernel.value_kind]
+    norm, buffers = _norm_in_place(kernel)
+    out = buffers()
     parts = _components(kernel.table, kernel.value_kind)
     diag = tuple(np.diagonal(p) for p in parts)
-    products = mul(*parts, *(p.T for p in parts))
-    product = norm(*(q - d[:, None] for q, d in zip(products, diag)))
-    k, m = divmod(int(product.argmax()), kernel.n)
+    products = algebra.mul(*parts, *(p.T for p in parts), out=out[0])
+    product = norm([np.subtract(q, d[:, None], out=q) for q, d in zip(products, diag)], out)
+    k, m = divmod(int(product.argmax()), n)
+    worst = product[k, m]  # a copy: the spread below reuses the buffers
     if kernel.value_kind != COMPLEX:  # the other two need commuting values
-        return ["diag_product"], product[k, m], c, [(labels[k], labels[m])]
-    spread = norm(*(d[:, None] - d[None, :] for d in diag))
+        return ["diag_product"], worst, c, [(labels[k], labels[m])]
+    # A difference of two components in range is 0 or a multiple of 2^-202
+    # of modulus at most 2^151 (see kernel._components_in_range), so the
+    # spread's moduli lie inside the norm's window too, or are 0.
+    spread = norm([np.subtract(d[:, None], d[None, :], out=out[0][j]) for j, d in enumerate(diag)], out)
     diag_norm = np.diagonal(kernel.entry_norms())
-    i, j = divmod(int(spread.argmax()), kernel.n)
+    i, j = divmod(int(spread.argmax()), n)
     return (
         ["diag_spread", "diag_product", "diag_bound"],
-        [spread[i, j], product[k, m], diag_norm.max()],
+        [spread[i, j], worst, diag_norm.max()],
         [2.0 * c, c, diag_norm.min() + 2.0 * c],
         [(labels[i], labels[j]), (labels[k], labels[m]), (labels[int(diag_norm.argmax())],)],
     )

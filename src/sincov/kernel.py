@@ -58,7 +58,9 @@ class UnknownLabelError(KernelError):
 # Each function also takes out=, indexable buffer arrays: its steps write
 # into out[0], out[1], ... and its results are the first of them.  The scan
 # passes buffers that it reuses for every slab; without out= every step gets
-# a fresh result, as for Python floats.  _mul2x2 uses the most, five.
+# a fresh result, as for Python floats.  _mul2x2 uses the most, five.  _KINDS
+# lists the indices that each kind's product and guarded norm write (outs),
+# so that a caller can make exactly those buffers up front.
 #
 # The products also take times=, the multiply they apply to each pair of
 # components, np.multiply by default.  The defect scan multiplies a column
@@ -245,13 +247,15 @@ def _norm2x2(m00, m01, m10, m11, out=_UNBUFFERED):
 # A value is stored as dtype with shape; its float64 view holds its components in
 # storage order.  keys, form, slots: a file entry's keys, its form, where its reals are;
 # entry: the bytes save_kernel writes for it, with a %r for each real in storage order.
-_Kind = namedtuple("_Kind", "dtype shape mul norm one keys form slots entry")
+# outs: the indices of out that mul and norm write.
+_Kind = namedtuple("_Kind", "dtype shape mul norm one keys form slots entry outs")
 _KINDS = {
     COMPLEX: _Kind(np.complex128, (), _cmul, _cnorm, (1.0, 0.0),
-                   ("re", "im"), '{"re": ..., "im": ...}', (".re", ".im"), '{"re":%r,"im":%r}'),
+                   ("re", "im"), '{"re": ..., "im": ...}', (".re", ".im"), '{"re":%r,"im":%r}',
+                   ((0, 1, 2), (0, 1))),
     MAT2: _Kind(np.float64, (2, 2), _mul2x2, _norm2x2, (1.0, 0.0, 0.0, 1.0),
                 ("m",), '{"m": [[a, b], [c, d]]}', (".m[0][0]", ".m[0][1]", ".m[1][0]", ".m[1][1]"),
-                '{"m":[[%r,%r],[%r,%r]]}'),
+                '{"m":[[%r,%r],[%r,%r]]}', ((0, 1, 2, 3, 4), (0, 3, 4))),
 }
 
 
@@ -670,14 +674,16 @@ def generate(spec: GeneratorSpec) -> FiniteKernel:
 # whitespace after the closing brace) is read one row at a time instead, by
 # _by_rows, and its reals go into one preallocated array, so at most one row
 # of Python objects is alive, where the whole document takes several times
-# the file's size.  A row written exactly as save_kernel writes it (no
+# the file's size.  _by_rows works on the file's bytes and decodes only the
+# head and each row that is not flat, so the document is never held twice,
+# as bytes and as text.  A row written exactly as save_kernel writes it (no
 # spaces, its keys unescaped and in the written order) is cut at its fixed
 # groups into one flat JSON array of its reals (_flat_rows), from which
 # json's scanner makes the floats and one list and nothing else.  Any other
 # row, spaced, with escaped keys or with its keys in another order, is
 # parsed as JSON values and checked and flattened by the same passes.  On
 # any other layout, and on any defect, _by_rows declines and the whole
-# document is read as above, so every error is the same.
+# document is decoded and read as above, so every error is the same.
 
 _TOP_KEYS = ("labels", "value_kind", "entries")
 
@@ -757,9 +763,6 @@ def _reject_constant(token):
     raise KernelFormatError(f"non-finite literal {token!r} not allowed")
 
 
-_SPACE = re.compile(r"[ \t\n\r]*").match  # JSON's whitespace
-
-
 def _int_literal(literal: str):
     """A JSON integer literal as an int; past Python's int-string limit (640
     digits or more), as the infinite float it rounds to, as 1e999 reads."""
@@ -809,9 +812,20 @@ def _entry_reals(rows: list, n: int, kind: str) -> np.ndarray:
 _NUMBER_CHARS = b"0123456789+-.eE"  # the characters of JSON numbers
 _LONGEST_REAL = len(repr(-2.2250738585072014e-308))  # 24, the longest float repr
 _DECODER = json.JSONDecoder(parse_int=_int_literal, parse_constant=_reject_constant)  # as _parse
+_SPACE = re.compile(rb"[ \t\n\r]*").match  # JSON's whitespace
+_ROW_END = re.compile(rb"\}[ \t\n\r]*\]").search  # a row's end: its last entry's "}", then "]"
 
 
-def _flat_rows(text: str, kind: str, n: int):
+# The head of a document in save_kernel's layout, up to its first row, with
+# "_" for JSON whitespace and "S" for a JSON string of any bytes: the three keys
+# (groups 1, 3 and 5), an array of strings (group 2) and a string (group 4).  A
+# quote ends a string only where no backslash escapes it, so the match ends
+# where the JSON grammar puts the head's end, whatever the labels hold.
+_HEAD = re.compile(rb"_\{_(S)_:_(\[_S(?:_,_S)*_\])_,_(S)_:_(S)_,_(S)_:_\[_"
+                   .replace(b"_", rb"[ \t\n\r]*").replace(b"S", rb'"(?:[^"\\]|\\.)*"')).match
+
+
+def _flat_rows(data: bytes, kind: str, n: int):
     """read(pos): the reals of the row of n entries of kind at pos, and the
     position after it and the whitespace after it, for a row written as
     save_kernel writes it; None for a row in any other form or with a defect.
@@ -825,33 +839,30 @@ def _flat_rows(text: str, kind: str, n: int):
     every number character lies in a real's slot, and the reals are the
     elements of one flat JSON array: the row with its head and tail cut off,
     each separator between entries replaced by a comma and every other
-    character of the separator inside an entry deleted.  The search for the
-    row's end stops at the longest row of that form whose reals are float
-    reprs."""
+    character of the separator inside an entry deleted.  The skeleton is
+    ASCII, so a row of that form is ASCII too.  The search for the row's
+    end stops at the longest row of that form whose reals are float reprs."""
     algebra = _KINDS[kind]
     width = len(algebra.slots)
-    parts = algebra.entry.split("%r")  # complex: '{"re":', ',"im":', '}'
-    head, tail, sep = "[" + parts[0], parts[-1] + "]", (parts[-1] + "," + parts[0]).encode()
-    (inner,) = {part.encode() for part in parts[1:-1]} - {b","}
+    parts = [part.encode() for part in algebra.entry.split("%r")]  # complex: '{"re":', ',"im":', '}'
+    head, tail, sep = b"[" + parts[0], parts[-1] + b"]", parts[-1] + b"," + parts[0]
+    (inner,) = set(parts[1:-1]) - {b","}
     cut = inner.replace(b",", b"")
     fixed = _row(kind, n).replace("%r", "").encode()
     skeleton = fixed.translate(None, _NUMBER_CHARS)
     longest = len(fixed) + _LONGEST_REAL * n * width
 
     def read(pos: int):
-        end = text.find(tail, pos, pos + longest) if text.startswith(head, pos) else -1
-        row = text[pos:end + len(tail)]
-        if not (end >= 0 and row.isascii()):
-            return None
-        row = row.encode()
-        if not (row.translate(None, _NUMBER_CHARS) == skeleton
+        end = data.find(tail, pos, pos + longest) if data.startswith(head, pos) else -1
+        row = data[pos:end + len(tail)]
+        if not (end >= 0 and row.translate(None, _NUMBER_CHARS) == skeleton
                 and row.count(sep) == n - 1 and row.count(inner) == n):
             return None
         flat = row[len(head):-len(tail)].replace(sep, b",").translate(None, cut)
         try:
-            values = _DECODER.decode("[%s]" % flat.decode())
+            values = _DECODER.decode("[%s]" % flat.decode("ascii"))
             if len(values) == n * width:  # _reals's error, located by str, is dropped
-                return _reals(values, str), _SPACE(text, end + len(tail)).end()
+                return _reals(values, str), _SPACE(data, end + len(tail)).end()
         except ValueError:  # JSONDecodeError, or KernelFormatError for a value that is no finite real
             pass
         return None
@@ -859,50 +870,45 @@ def _flat_rows(text: str, kind: str, n: int):
     return read
 
 
-def _by_rows(text: str):
+def _by_rows(data: bytes):
     """(labels, kind, reals) of a kernel document in save_kernel's layout,
-    read one row at a time; None for any other text, and for a document with
-    a defect, which the whole-document path then names.  (The errors raised
-    inside count rows from the row at hand; none leaves this function.)"""
+    read one row at a time from its bytes; None for any other document, and
+    for one with a defect, which the whole-document path then names.  Only
+    the head and the rows that are not flat are decoded, each on its own;
+    every other byte is matched against ASCII text, so a document read here
+    is valid UTF-8.  (The errors raised inside count rows from the row at
+    hand; none leaves this function.)"""
 
-    def skip(pos: int, token: str) -> int:
+    def skip(pos: int, token: bytes) -> int:
         """The position after token, which must stand at pos, and the whitespace after it."""
-        if text[pos:pos + 1] != token:
+        if data[pos:pos + 1] != token:
             raise ValueError(f"expected {token!r} at {pos}")
-        return _SPACE(text, pos + 1).end()
+        return _SPACE(data, pos + 1).end()
 
-    def value(pos: int):
-        """The JSON value at pos, and the position after it and the whitespace after it."""
-        item, end = _DECODER.raw_decode(text, pos)
-        return item, _SPACE(text, end).end()
-
+    head = _HEAD(data)
+    if head is None:
+        return None
     try:
-        pos, head = skip(_SPACE(text).end(), "{"), []
-        for key in _TOP_KEYS:
-            name, pos = value(pos)
-            if name != key:
-                return None
-            pos = skip(pos, ":")
-            if key != "entries":
-                item, pos = value(pos)
-                head.append(item)
-                pos = skip(pos, ",")
-        labels, kind = head
+        values = [_DECODER.decode(group.decode("utf-8")) for group in head.groups()]
+        if tuple(values[::2]) != _TOP_KEYS:
+            return None
+        labels, kind = values[1::2]
         _check_head(labels, kind)
         n, width = len(labels), len(_KINDS[kind].slots)
-        if n * n * width > len(text):  # each real takes a character at least
+        if n * n * width > len(data):  # each real takes a byte at least
             return None
-        reals, flat = np.empty((n, n * width)), _flat_rows(text, kind, n)
-        pos = skip(pos, "[")
+        reals, flat, pos = np.empty((n, n * width)), _flat_rows(data, kind, n), head.end()
         for i in range(n):
             if read := flat(pos):
                 reals[i], pos = read
+            elif end := _ROW_END(data, pos):  # no value in a row holds a "}"
+                row = _DECODER.decode(data[pos:end.end()].decode("utf-8"))
+                reals[i], pos = _entry_reals([row], n, kind), _SPACE(data, end.end()).end()
             else:
-                row, pos = value(pos)
-                reals[i] = _entry_reals([row], n, kind)
-            pos = skip(pos, ",]"[i == n - 1])
-        return (labels, kind, reals) if skip(pos, "}") == len(text) else None
-    except (ValueError, RecursionError):  # KernelFormatError and JSONDecodeError among them
+                return None
+            pos = skip(pos, (b",", b"]")[i == n - 1])
+        return (labels, kind, reals) if skip(pos, b"}") == len(data) else None
+    except (ValueError, RecursionError):  # KernelFormatError, JSONDecodeError, UnicodeDecodeError
         return None
 
 
@@ -927,15 +933,19 @@ def _document(doc) -> tuple:
 def load_kernel(data: bytes) -> FiniteKernel:
     """Parse and validate a kernel document; inverse of save_kernel.
 
-    A document in save_kernel's layout, spaced in any way, is read one row at
-    a time, with at most one row of Python objects alive, and a row written
-    as save_kernel writes it from one flat JSON array of its reals; any other
-    document is parsed whole.  All give the same kernel, and a defect the
-    same error."""
-    try:
-        text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else str(data)
-    except UnicodeDecodeError as exc:
-        raise KernelFormatError(f"not valid UTF-8: {exc}") from None
-    labels, kind, reals = _by_rows(text) or _document(_parse(text))
+    The bytes of a document in save_kernel's layout, spaced in any way, are
+    read one row at a time, with at most one row of Python objects alive, and
+    a row written as save_kernel writes it from one flat JSON array of its
+    reals; any other document, and any text given as str, is decoded and
+    parsed whole.  All give the same kernel, and a defect the same error."""
+    raw = isinstance(data, (bytes, bytearray))
+    read = _by_rows(data) if raw else None
+    if read is None:
+        try:
+            text = data.decode("utf-8") if raw else str(data)
+        except UnicodeDecodeError as exc:
+            raise KernelFormatError(f"not valid UTF-8: {exc}") from None
+        read = _document(_parse(text))
+    labels, kind, reals = read
     algebra, n = _KINDS[kind], len(labels)
     return FiniteKernel(tuple(labels), kind, reals.view(algebra.dtype).reshape((n, n) + algebra.shape))

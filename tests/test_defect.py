@@ -20,7 +20,7 @@ from conftest import (
 from sincov import FiniteKernel, GeneratorSpec, defect_term, generate, is_exact, sincov_defect
 from sincov import analysis
 from sincov.analysis import thread_limit
-from sincov.kernel import KernelError, _components_in_range
+from sincov.kernel import KernelError, _components_in_range, _squared_modulus
 
 
 ORACLE_KERNELS = [
@@ -197,7 +197,7 @@ def test_a_failing_scan_chunk_raises_its_error_in_chunk_order(monkeypatch, fail_
     threads = {}
 
     def failing_slab_function(kernel, *formula):
-        slab = slab_function(kernel, *formula)
+        slab, buffers = slab_function(kernel, *formula)
 
         def failing_slab(x, out):
             if x in fail_at:
@@ -205,7 +205,7 @@ def test_a_failing_scan_chunk_raises_its_error_in_chunk_order(monkeypatch, fail_
                 raise MemoryError(f"slab {x}")
             return slab(x, out)
 
-        return failing_slab
+        return failing_slab, buffers
 
     monkeypatch.setattr("sincov.analysis._slab_function", failing_slab_function)
     usable_cpus(monkeypatch, 8)  # 2 workers on any machine
@@ -340,30 +340,45 @@ def _with_tiny_component(kernel: FiniteKernel) -> FiniteKernel:
     return FiniteKernel(kernel.labels, kernel.value_kind, table)
 
 
-# complex kernels with a component below the range, whose terms take the
-# range guard: one scan, of the guarded norms
+def _one_column_kernel() -> FiniteKernel:
+    """1e-160 but for a column of ones at p5: the terms of slab p5 are all 0,
+    and every other slab has terms near 1."""
+    table = np.full((70, 70), 1e-160 + 0j)
+    table[:, 5] = 1.0
+    return FiniteKernel(tuple(f"p{i}" for i in range(70)), "complex", table)
+
+
+# complex kernels with a component below the range: one scan of the squared
+# moduli, then the guarded norm on the slabs whose largest root leaves the
+# window [2^-479, 2^480]: none (one tiny component among terms near 1), one
+# (an all-zero slab) or all (every term is about 1e-160)
 OUT_OF_RANGE_KERNELS = {
-    "constant-1e-160": generate(GeneratorSpec("constant", value=1e-160, size=70)),
-    "tiny-component": _with_tiny_component(random_complex_kernel(np.random.default_rng(3), 70)),
+    "constant-1e-160": (generate(GeneratorSpec("constant", value=1e-160, size=70)), range(70)),
+    "one-column": (_one_column_kernel(), [5]),
+    "tiny-component": (_with_tiny_component(random_complex_kernel(np.random.default_rng(3), 70)), []),
 }
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("name", sorted(OUT_OF_RANGE_KERNELS))
-def test_maximum_pass_scans_out_of_range_complex_kernels_once(monkeypatch, name):
-    kernel = OUT_OF_RANGE_KERNELS[name]
+def test_maximum_pass_rescans_only_out_of_window_slabs(monkeypatch, name, threads):
+    kernel, redone = OUT_OF_RANGE_KERNELS[name]
     assert not _components_in_range(kernel.table)
     want = sincov_defect(kernel).defect
     scans = []
 
-    def counted(kernel, reduce, formula=None):
-        scans.append(formula)
-        return scan(kernel, reduce, formula)
+    def counted(kernel, reduce, formula=None, xs=None):
+        scans.append((formula, list(range(kernel.n) if xs is None else xs)))
+        return scan(kernel, reduce, formula, xs)
 
     def no_report(kernel):
         raise AssertionError("fell back to the report's pass")
 
     scan = analysis._scan
+    usable_cpus(monkeypatch, 2)
+    monkeypatch.setenv("SINCOV_THREADS", threads)
     monkeypatch.setattr("sincov.analysis._scan", counted)
     monkeypatch.setattr("sincov.analysis.sincov_defect", no_report)
     assert analysis._defect(kernel) == want
-    assert scans == [None]  # the kind's guarded norm
+    expected = [(_squared_modulus, list(range(kernel.n)))]
+    assert scans == expected + ([(None, list(redone))] if redone else [])  # None: the guarded norm

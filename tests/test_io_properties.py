@@ -233,22 +233,40 @@ def _unparsed(data):
     raise AssertionError("the whole document was parsed")
 
 
+class RecordedBytes(bytes):
+    """A kernel document that counts the decodes of its whole text."""
+
+    def decode(self, *args, **kwargs):
+        self.decodes += 1
+        return super().decode(*args, **kwargs)
+
+
+def _recorded(data: bytes) -> RecordedBytes:
+    recorded = RecordedBytes(data)
+    recorded.decodes = 0
+    return recorded
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data(), writer_kernels())
 def test_documents_in_the_saved_layout_are_read_row_by_row(data, kernel):
-    """The save_kernel bytes among them: the whole document is never parsed."""
+    """The save_kernel bytes among them: the whole document is never decoded
+    or parsed."""
     saved = save_kernel(kernel)
     with mock.patch.object(kernel_module, "_parse", _unparsed):
         for document in data.draw(in_saved_layout(saved)):
-            assert save_kernel(load_kernel(document)) == saved, document
+            recorded = _recorded(document)
+            assert save_kernel(load_kernel(recorded)) == saved, document
+            assert recorded.decodes == 0, document
 
 
 def test_key_sorted_documents_are_read_whole():
     kernel = FiniteKernel(("a", "b"), "complex", np.array([[1.0, -0.0j], [2.5, 1j]]))
-    data = json.dumps(json.loads(save_kernel(kernel)), sort_keys=True).encode()
+    data = _recorded(json.dumps(json.loads(save_kernel(kernel)), sort_keys=True).encode())
     with mock.patch.object(kernel_module, "_parse", wraps=kernel_module._parse) as parse:
         assert load_kernel(data) == kernel
     assert parse.call_count == 1
+    assert data.decodes == 1
 
 
 # A row written as save_kernel writes it is read from one flat JSON array of
@@ -434,3 +452,57 @@ def test_rows_longer_than_float_reprs_are_parsed():
     with mock.patch.object(kernel_module, "_entry_reals", rows_parsed):
         assert load_kernel(data) == kernel
     assert rows_parsed.call_count == 2
+
+
+# Labels that hold non-ASCII text or pieces of the layout: the row reader
+# finds the head's end by the JSON grammar, not by searching for a key.
+LAYOUT_LABELS = ["é", "\U0001f600€", "entries", '"entries":[', 'x"entries":[[', '\\"', '"', "}]", '"}]']
+
+
+def _copies(data: bytes) -> dict:
+    """A saved document and copies of it: indented, with every non-ASCII
+    character escaped, and key-sorted."""
+    doc = json.loads(data)
+    return {
+        "saved": data,
+        "indented": json.dumps(doc, indent=1, ensure_ascii=False).encode(),
+        "escaped": json.dumps(doc, separators=(",", ":")).encode(),
+        "sorted": json.dumps(doc, sort_keys=True, ensure_ascii=False).encode(),
+    }
+
+
+@pytest.mark.parametrize("label", LAYOUT_LABELS)
+@pytest.mark.parametrize("kind", ["complex", "mat2"])
+def test_labels_holding_layout_text_load_as_the_whole_document_does(kind, label):
+    kernel = _edit_kernel(kind)
+    kernel = FiniteKernel((label,) + kernel.labels[1:], kind, kernel.table)
+    saved = save_kernel(kernel)
+    for name, document in _copies(saved).items():
+        assert _outcome(document) == _document_outcome(document) == saved, name
+        assert _outcome(document.decode()) == saved, name  # text is parsed whole
+        if name != "sorted":
+            with mock.patch.object(kernel_module, "_parse", _unparsed):
+                assert save_kernel(load_kernel(document)) == saved, name
+
+
+# bytes that are not UTF-8: a stray continuation byte, a lead byte without
+# its continuation, an encoded surrogate and an overlong encoding
+BAD_UTF8 = [b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xc0\xaf"]
+BAD_PLACES = {
+    "head": lambda data, bad: data.replace(b'"p1"', b'"p1' + bad + b'"', 1),
+    "row": lambda data, bad: data.replace(b"1.25", b"1.2" + bad + b"5", 1),
+    "after the closing brace": lambda data, bad: data.rstrip() + bad + b"\n",
+}
+
+
+@pytest.mark.parametrize("bad", BAD_UTF8, ids=[b.hex() for b in BAD_UTF8])
+@pytest.mark.parametrize("place", BAD_PLACES)
+@pytest.mark.parametrize("kind", ["complex", "mat2"])
+def test_bytes_that_are_not_utf8_load_as_the_whole_document_does(kind, place, bad):
+    saved = save_kernel(_edit_kernel(kind))
+    for name, copy_ in _copies(saved).items():
+        document = BAD_PLACES[place](copy_, bad)
+        assert document != copy_, name
+        outcome = _outcome(document)
+        assert outcome == _document_outcome(document), name
+        assert outcome[0] is KernelFormatError and outcome[1].startswith("not valid UTF-8: "), name

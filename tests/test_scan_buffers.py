@@ -1,6 +1,9 @@
-"""The defect scan evaluates every slab in per-worker buffers, with its
-products formed as outer products in one pass; its reports must equal those
-of an unbuffered, broadcasting reference scan bit for bit."""
+"""The defect scan evaluates every slab in per-worker buffers, all made in
+the calling thread, with its products formed as outer products in one pass;
+its reports must equal those of an unbuffered, broadcasting reference scan
+bit for bit."""
+
+import threading
 
 import numpy as np
 import pytest
@@ -15,9 +18,9 @@ from conftest import (
     unbuffered_slabs,
     usable_cpus,
 )
-from sincov import FiniteKernel, GeneratorSpec, generate, slice_residual, sincov_defect
+from sincov import FiniteKernel, GeneratorSpec, diagonal_report, generate, slice_residual, sincov_defect
 from sincov import analysis
-from sincov.kernel import _COMPONENT_RANGE, _KINDS, _components_in_range, _outer, _scaled
+from sincov.kernel import _COMPONENT_RANGE, _KINDS, _components, _components_in_range, _outer, _scaled
 
 SIZES = (1, 2, 63, 64, 65, 130)  # around the smallest size scanned in parallel
 RANDOM = {"complex": random_complex_kernel, "mat2": random_mat2_kernel}
@@ -163,23 +166,33 @@ def test_scans_in_range_equal_the_guarded_reference(kind, n, seed, zeros, near, 
 
 
 def _working_set(monkeypatch, kernel, scan):
-    """The number of (n, n) buffers each scan worker of scan(kernel) made, and
-    the number of rows that kernel._scaled rescaled, call by call."""
-    made, rescaled = [], []
-    slab_buffers = analysis._slab_buffers
+    """The number of (n, n) buffers in each buffer set that scan(kernel) made,
+    and the number of rows that kernel._scaled rescaled, call by call.  Every
+    (n, n) array that np.empty makes meanwhile must be made in the calling
+    thread, before any worker starts."""
+    made, rescaled, makers = [], [], []
+    slab_buffers, empty = analysis._slab_buffers, np.empty
 
-    def counted_buffers(n):
-        made.append(slab_buffers(n))
+    def counted_buffers(*args):
+        made.append(slab_buffers(*args))
         return made[-1]
 
     def counted_scaled(comps):
         rescaled.append(len(comps))
         return _scaled(comps)
 
+    def recorded_empty(shape, *args, **kwargs):
+        if shape == (kernel.n, kernel.n):
+            makers.append((threading.current_thread(), threading.active_count()))
+        return empty(shape, *args, **kwargs)
+
     monkeypatch.setattr("sincov.analysis._slab_buffers", counted_buffers)
     monkeypatch.setattr("sincov.kernel._scaled", counted_scaled)
+    monkeypatch.setattr(np, "empty", recorded_empty)
+    threads = threading.active_count()
     scan(kernel)
     assert all(b.shape == (kernel.n, kernel.n) for out in made for d in out for b in d.values())
+    assert makers == [(threading.main_thread(), threads)] * sum(sum(map(len, out)) for out in made)
     return [sum(map(len, out)) for out in made], rescaled
 
 
@@ -192,6 +205,12 @@ def test_in_range_scan_workers_hold_the_product_buffers_alone(monkeypatch, kind,
     assert _working_set(monkeypatch, kernel, scan) == ([buffers, buffers], [])
 
 
+@pytest.mark.parametrize("kind, buffers", [("complex", 3), ("mat2", 5)])
+def test_diagonal_sides_take_one_set_of_product_buffers(monkeypatch, kind, buffers):
+    kernel = RANDOM[kind](np.random.default_rng(7), 64)
+    assert _working_set(monkeypatch, kernel, lambda k: diagonal_report(k, defect=0.0)) == ([buffers], [])
+
+
 @pytest.mark.parametrize("kind, buffers", [("complex", 5), ("mat2", 8)])
 def test_out_of_range_scan_workers_run_the_guard(monkeypatch, kind, buffers):
     # every term is about 1e-160, below both windows, so the guard rescales it
@@ -202,3 +221,40 @@ def test_out_of_range_scan_workers_run_the_guard(monkeypatch, kind, buffers):
     made, rescaled = _working_set(monkeypatch, kernel, sincov_defect)
     assert made == [buffers, buffers]
     assert sum(rescaled) == 64**3
+
+
+def _unbuffered_diagonal(kernel):
+    """diagonal_report's (lhs, witness) of diag_spread (complex only) and
+    diag_product, from the guarded norm on fresh arrays."""
+    mul, norm = _KINDS[kernel.value_kind].mul, _KINDS[kernel.value_kind].norm
+    parts = _components(kernel.table, kernel.value_kind)
+    diag = [np.diagonal(p) for p in parts]
+    products = mul(*parts, *(p.T for p in parts))
+    sides = {"diag_product": norm(*(q - d[:, None] for q, d in zip(products, diag)))}
+    if kernel.value_kind == "complex":
+        sides["diag_spread"] = norm(*(d[:, None] - d[None, :] for d in diag))
+    found = {}
+    for name, terms in sides.items():
+        a, b = divmod(int(terms.argmax()), kernel.n)
+        found[name] = (terms[a, b].hex(), (kernel.labels[a], kernel.labels[b]))
+    return found
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["complex", "mat2"]),
+    st.integers(1, 40),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 0.1, 0.5]),
+    st.sampled_from([None, "below", "above"]),
+    st.sampled_from([0, -400]),
+)
+def test_diagonal_sides_in_one_buffer_set_equal_the_guarded_reference(kind, n, seed, zeros, outside, scale):
+    """In range the terms are the bare formula's, in place; out of range,
+    or scaled by 2^-400 so that products fall below the window, the guard's."""
+    table = _range_kernel(kind, n, seed, zeros, 0, outside).table
+    scaled = np.ldexp(table.view(np.float64), scale).view(table.dtype)
+    kernel = FiniteKernel(tuple(f"p{i}" for i in range(n)), kind, scaled)
+    got = {c.name: (c.lhs.hex(), c.witness) for c in diagonal_report(kernel, defect=0.0)
+           if c.name != "diag_bound"}
+    assert got == _unbuffered_diagonal(kernel)
