@@ -47,7 +47,7 @@ import numpy as np
 
 from .kernel import (
     _KINDS, COMPLEX, FiniteKernel, KernelError, _cmul, _cnorm, _components, _components_in_range,
-    _finite_sides, _in_range, _outer, _ratio_table, _squared_modulus,
+    _SCAN_DOT, _finite_sides, _in_range, _ratio_table, _squared_modulus,
 )
 
 TOL_SCALE = 1e-12
@@ -175,7 +175,7 @@ def _slab_function(kernel: FiniteKernel, formula=None):
 
     def slab(x: int, out) -> np.ndarray:
         products = algebra.mul(*(p[:, x] for p in parts), *(p[x, :] for p in parts),
-                               out=out[0], times=_outer)
+                               out=out[0], dot=_SCAN_DOT)
         return norm([np.subtract(q, p, out=q) for q, p in zip(products, parts)], out)
 
     return slab, buffers
@@ -268,9 +268,17 @@ def _defect(kernel: FiniteKernel) -> float:
     """sincov_defect(kernel).defect, bit for bit, from one pass that keeps each slab's
     maximum alone: for a complex kernel of the squared moduli, whose largest is rooted
     once per slab, and for a mat2 kernel of the norms.  Out of range, a complex slab
-    whose root leaves the window below is scanned again with the guarded norm.  A term
-    that is not finite makes the full pass raise."""
-    if kernel.value_kind != COMPLEX:
+    whose root leaves the window below is scanned again with the guarded norm, and a
+    complex kernel whose every slab would be takes that norm at once.  A term that is
+    not finite makes the full pass raise."""
+    # A complex kernel whose every component has modulus at most 2^-490 has
+    # product components of at most 2^-979 and differences with F(a, b) of at
+    # most 2^-490 (the excess, 2^-979, is below half its ulp, 2^-543), so its
+    # squares are at most 2^-980 and their sums 2^-979, rounded or lost to
+    # underflow, and every slab's root is at most 2^-489.5 < 2^-479: the
+    # squared-modulus pass below would scan every slab again.  (A zero kernel
+    # is in range, and this pass runs its bare norm.)
+    if kernel.value_kind != COMPLEX or np.abs(kernel.table.view(np.float64)).max() <= 2.0**-490:
         c = float(np.max(_scan(kernel, np.max)))
         return c if math.isfinite(c) else sincov_defect(kernel).defect
     # sqrt is correctly rounded and monotone, so M = sqrt(max s) is the

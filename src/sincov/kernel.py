@@ -53,7 +53,9 @@ class UnknownLabelError(KernelError):
 # arithmetic.  Each function is built from single ufunc applications
 # (multiply, add, subtract, sqrt, frexp, ldexp), which are correctly rounded
 # per element, so scalar and array evaluations agree bit for bit; fused
-# expressions such as numpy's SIMD complex multiply do not.
+# expressions such as numpy's SIMD complex multiply do not.  The one
+# exception is the scan's einsum (below), which a probe at import admits only
+# where it rounds as those ufuncs do.
 #
 # Each function also takes out=, indexable buffer arrays: its steps write
 # into out[0], out[1], ... and its results are the first of them.  The scan
@@ -62,11 +64,20 @@ class UnknownLabelError(KernelError):
 # lists the indices that each kind's product and guarded norm write (outs),
 # so that a caller can make exactly those buffers up front.
 #
-# The products also take times=, the multiply they apply to each pair of
-# components, np.multiply by default.  The defect scan multiplies a column
-# F(., x) by a row F(x, .) and passes _outer, which forms that outer product
-# in one pass where a broadcast multiply makes one inner-loop call per row.
+# The products form each component as a two-term product op(x y, z w), op
+# np.add or np.subtract, through dot=, _dot by default: two multiplies and op,
+# each rounded once.  The defect scan multiplies a column F(., x) by a row
+# F(x, .), so each two-term product is an (n, n) table, which _SCAN_DOT forms
+# in one einsum pass (_einsum_dot) or, where a probe at import finds einsum
+# fusing a multiply into the sum (say, an FMA in numpy's SIMD loop), as two
+# outer products and op (_outer_dot), with the same values and rounding.
 _UNBUFFERED = (None,) * 5
+
+
+def _dot(x, y, z, w, op=np.add, out=None, scratch=None):
+    """op(x y, z w) elementwise, op np.add or np.subtract, with z w in scratch:
+    each product and the result rounded once."""
+    return op(np.multiply(x, y, out=out), np.multiply(z, w, out=scratch), out=out)
 
 
 def _outer(col, row, out=None):
@@ -77,11 +88,43 @@ def _outer(col, row, out=None):
     return np.einsum("i,j->ij", col, row, out=out)
 
 
-def _cmul(ar, ai, br, bi, out=_UNBUFFERED, *, times=np.multiply):
+def _outer_dot(x, y, z, w, op=np.add, out=None, scratch=None):
+    """_dot of 1-d columns x, z and rows y, w: op(x[i] y[j], z[i] w[j]) for all
+    (i, j), each product an _outer."""
+    return op(_outer(x, y, out), _outer(z, w, scratch), out=out)
+
+
+def _einsum_dot(x, y, z, w, op=np.add, out=None, scratch=None):
+    """_outer_dot in one pass, without scratch: einsum sums the products of the
+    column pair (x, z), z negated (exactly) for np.subtract, and the row pair
+    (y, w) into a zeroed output.  Where it rounds each product and the sum
+    once, as _rounds_once tests, that is _outer_dot's value up to the sign of
+    a zero, which a norm cannot tell."""
+    cols = np.array([x, z if op is np.add else np.negative(z)])
+    return np.einsum("ki,kj->ij", cols, np.array([y, w]), out=out)
+
+
+def _rounds_once(dot) -> bool:
+    """Whether dot's tables equal _dot's on the products q q - r and -q + q r:
+    rounded, they are 0 and 2^-26, and exact they exceed that by 2^-54 and
+    2^-53, which a dot that fuses either multiply into the sum keeps.  The
+    tables are 1 x 1, for each product, and 2 x k, for both, with k = 1 to 70,
+    widths that reach einsum's SIMD loop and its tails."""
+    q, r = 1.0 + 2.0**-27, 1.0 + 2.0**-26  # q q rounds to r, and q r to q + 2^-26
+    x, z, y, w = np.array([q, -1.0]), np.array([-1.0, q]), np.full(70, q), np.full(70, r)
+    want = _dot(x, q, z, r)[:, None]
+    cases = [(slice(0, 1), 1), (slice(1, 2), 1)] + [(slice(0, 2), k) for k in range(1, 71)]
+    return all((dot(x[i], y[:k], z[i], w[:k], out=np.empty((len(x[i]), k))) == want[i]).all()
+               for i, k in cases)
+
+
+_SCAN_DOT = _einsum_dot if _rounds_once(_einsum_dot) else _outer_dot  # the probe at import
+
+
+def _cmul(ar, ai, br, bi, out=_UNBUFFERED, *, dot=_dot):
     """Complex product in component form; out[2] is scratch."""
-    re = np.subtract(times(ar, br, out=out[0]), times(ai, bi, out=out[2]), out=out[0])
-    im = np.add(times(ar, bi, out=out[1]), times(ai, br, out=out[2]), out=out[1])
-    return re, im
+    return (dot(ar, br, ai, bi, np.subtract, out[0], out[2]),
+            dot(ar, bi, ai, br, np.add, out[1], out[2]))
 
 
 def _in_range(fn):
@@ -203,17 +246,13 @@ def _modulus(re, im, out=_UNBUFFERED):
 _cnorm = _range_guarded(2.0**-480, 2.0**480)(_modulus)  # _norm2x2 takes two bare moduli under its guard
 
 
-def _mul2x2(a00, a01, a10, a11, b00, b01, b10, b11, out=_UNBUFFERED, *, times=np.multiply):
+def _mul2x2(a00, a01, a10, a11, b00, b01, b10, b11, out=_UNBUFFERED, *, dot=_dot):
     """2x2 matrix product in component form; out[4] is scratch."""
-
-    def dot(k, x, y, z, w):  # x * y + z * w
-        return np.add(times(x, y, out=out[k]), times(z, w, out=out[4]), out=out[k])
-
     return (
-        dot(0, a00, b00, a01, b10),
-        dot(1, a00, b01, a01, b11),
-        dot(2, a10, b00, a11, b10),
-        dot(3, a10, b01, a11, b11),
+        dot(a00, b00, a01, b10, np.add, out[0], out[4]),
+        dot(a00, b01, a01, b11, np.add, out[1], out[4]),
+        dot(a10, b00, a11, b10, np.add, out[2], out[4]),
+        dot(a10, b01, a11, b11, np.add, out[3], out[4]),
     )
 
 
@@ -855,16 +894,23 @@ def _flat_rows(data: bytes, kind: str, n: int):
     def read(pos: int):
         end = data.find(tail, pos, pos + longest) if data.startswith(head, pos) else -1
         row = data[pos:end + len(tail)]
-        if not (end >= 0 and row.translate(None, _NUMBER_CHARS) == skeleton
-                and row.count(sep) == n - 1 and row.count(inner) == n):
+        if not (end >= 0 and row.translate(None, _NUMBER_CHARS) == skeleton and row.count(inner) == n):
             return None
-        flat = row[len(head):-len(tail)].replace(sep, b",").translate(None, cut)
-        try:
-            values = _DECODER.decode("[%s]" % flat.decode("ascii"))
-            if len(values) == n * width:  # _reals's error, located by str, is dropped
-                return _reals(values, str), _SPACE(data, end + len(tail)).end()
-        except ValueError:  # JSONDecodeError, or KernelFormatError for a value that is no finite real
-            pass
+        body = row[len(head):-len(tail)]
+        flat = body.replace(sep, b",")
+        # The separators, counted by the length that replace took off: none can
+        # overlap itself, the head or the tail (no proper end of the head or of
+        # a separator begins a separator or the tail), so the body holds all
+        # of the row's, as many as row.count(sep) finds.
+        if len(body) - len(flat) != (n - 1) * (len(sep) - 1):
+            return None
+        try:  # a JSON array of number tokens, so every value is an int or a float
+            reals = np.array(_DECODER.decode("[%s]" % flat.translate(None, cut).decode("ascii")),
+                             np.float64)
+        except (ValueError, OverflowError):  # JSONDecodeError; an integer beyond float range
+            return None
+        if len(reals) == n * width and np.isfinite(reals).all():
+            return reals, _SPACE(data, end + len(tail)).end()
         return None
 
     return read

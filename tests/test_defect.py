@@ -348,21 +348,31 @@ def _one_column_kernel() -> FiniteKernel:
     return FiniteKernel(tuple(f"p{i}" for i in range(70)), "complex", table)
 
 
+def _constant(value: float) -> FiniteKernel:
+    return generate(GeneratorSpec("constant", value=value, size=70))
+
+
 # complex kernels with a component below the range: one scan of the squared
 # moduli, then the guarded norm on the slabs whose largest root leaves the
 # window [2^-479, 2^480]: none (one tiny component among terms near 1), one
-# (an all-zero slab) or all (every term is about 1e-160)
+# (an all-zero slab) or all (every term is about 2^-490); and a kernel whose
+# every component has modulus at most 2^-490, whose every slab would leave
+# it, makes the guarded scan alone
+SQUARES, GUARDED, ALL = _squared_modulus, None, range(70)  # None: the guarded norm
 OUT_OF_RANGE_KERNELS = {
-    "constant-1e-160": (generate(GeneratorSpec("constant", value=1e-160, size=70)), range(70)),
-    "one-column": (_one_column_kernel(), [5]),
-    "tiny-component": (_with_tiny_component(random_complex_kernel(np.random.default_rng(3), 70)), []),
+    "constant-1e-160": (_constant(1e-160), [(GUARDED, ALL)]),
+    "constant-2^-490": (_constant(2.0**-490), [(GUARDED, ALL)]),
+    "above-2^-490": (_constant(np.nextafter(2.0**-490, 1.0)), [(SQUARES, ALL), (GUARDED, ALL)]),
+    "one-column": (_one_column_kernel(), [(SQUARES, ALL), (GUARDED, [5])]),
+    "tiny-component": (_with_tiny_component(random_complex_kernel(np.random.default_rng(3), 70)),
+                       [(SQUARES, ALL)]),
 }
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("name", sorted(OUT_OF_RANGE_KERNELS))
 def test_maximum_pass_rescans_only_out_of_window_slabs(monkeypatch, name, threads):
-    kernel, redone = OUT_OF_RANGE_KERNELS[name]
+    kernel, expected = OUT_OF_RANGE_KERNELS[name]
     assert not _components_in_range(kernel.table)
     want = sincov_defect(kernel).defect
     scans = []
@@ -379,6 +389,5 @@ def test_maximum_pass_rescans_only_out_of_window_slabs(monkeypatch, name, thread
     monkeypatch.setenv("SINCOV_THREADS", threads)
     monkeypatch.setattr("sincov.analysis._scan", counted)
     monkeypatch.setattr("sincov.analysis.sincov_defect", no_report)
-    assert analysis._defect(kernel) == want
-    expected = [(_squared_modulus, list(range(kernel.n)))]
-    assert scans == expected + ([(None, list(redone))] if redone else [])  # None: the guarded norm
+    assert analysis._defect(kernel).hex() == want.hex()
+    assert scans == [(formula, list(xs)) for formula, xs in expected]

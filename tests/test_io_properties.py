@@ -285,11 +285,13 @@ def _edit_kernel(kind: str) -> FiniteKernel:
     return FiniteKernel(tuple(f"p{i}" for i in range(N_EDIT)), kind, table)
 
 
-def _edited(kind: str, k: int, template=None, literal=None, moved=None) -> bytes:
+def _edited(kind: str, k: int, template=None, literal=None, moved=None, entries=N_EDIT) -> bytes:
     """The saved kernel of _edit_kernel(kind) with entry k of row k written
     from template (the kind's own by default) and its first real written as
     literal if one is given; moved ("front" or "back") moves the row's first
-    real in front of the row's opening bracket or behind its closing one."""
+    real in front of the row's opening bracket or behind its closing one;
+    row k keeps its first entries entries, or repeats its first one after its
+    last to make them up."""
     kernel = _edit_kernel(kind)
     head = save_kernel(kernel).decode().split('"entries":', 1)[0]
     rows = []
@@ -305,8 +307,9 @@ def _edited(kind: str, k: int, template=None, literal=None, moved=None) -> bytes
                 front, texts[0][0] = texts[0][0], ""
             elif moved == "back":
                 back, texts[0][0] = texts[0][0], ""
-        entries = ",".join(form % tuple(t) for form, t in zip(forms, texts))
-        rows.append(front + "[" + entries + "]" + back)
+            forms, texts = (forms * 2)[:entries], (texts * 2)[:entries]
+        row = ",".join(form % tuple(t) for form, t in zip(forms, texts))
+        rows.append(front + "[" + row + "]" + back)
     return (head + '"entries":[' + ",".join(rows) + "]}\n").encode()
 
 
@@ -318,6 +321,7 @@ TEMPLATE_EDITS = {
     "complex": {
         "real in front of its entry": _moved_in_front(TEMPLATES["complex"]),
         "real in the inner separator": '{"re":%s,%s"im":}',
+        "number in the separator in front": '5{"re":%s,"im":%s}',
         "im before re": '{"im":%s,"re":%s}',
         "re escaped": '{"\\u0072e":%s,"im":%s}',
         **{f"key {key}": TEMPLATES["complex"].replace('"re"', key)
@@ -330,7 +334,7 @@ TEMPLATE_EDITS = {
         "m split 3 + 1": '{"m":[[%s,%s,%s],[%s]]}',
         "m escaped": '{"\\u006d":[[%s,%s],[%s,%s]]}',
         **{f"key {key}": TEMPLATES["mat2"].replace('"m"', key)
-           for key in ('""', '"5m"', '"me"', '"em"')},
+           for key in ('""', '"5m"', '"m5"', '"me"', '"em"')},
     },
 }
 LITERALS = ["+1", "01", "1.", ".5", "-", "", "-0", "1e999", "7" * 400, "7" * 5000]
@@ -344,6 +348,8 @@ EDITS = [
     for kind in TEMPLATES for literal in LITERALS
 ] + [
     (kind, f"real {side} the row", {"moved": side}) for kind in TEMPLATES for side in ("front", "back")
+] + [  # n - 2 and n separators between the entries of a row
+    (kind, f"{count} entries", {"entries": count}) for kind in TEMPLATES for count in (N_EDIT - 1, N_EDIT + 1)
 ]
 
 
@@ -361,6 +367,27 @@ def test_a_negative_zero_integer_reads_as_positive_zero(kind):
     kernel = load_kernel(_edited(kind, 1, literal="-0"))  # entry (1, 1)
     first = kernel.table[1, 1].real if kind == "complex" else kernel.table[1, 1, 0, 0]
     assert first == 0.0 and math.copysign(1.0, first) == 1.0
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+@pytest.mark.parametrize("kind", sorted(TEMPLATES))
+def test_an_integer_past_float_range_in_a_flat_row_loads_as_the_whole_document_does(kind, sign):
+    """The flat reader decodes the row, whose integer 10^309 (past the
+    largest float, about 1.8 10^308) converts to no float, and declines; the
+    whole document names the entry."""
+    n = 16  # a row long enough for the literal among float reprs
+    reals = np.full(n * n * (2 if kind == "complex" else 4), 0.25)
+    table = reals.view(np.complex128).reshape(n, n) if kind == "complex" else reals.reshape(n, n, 2, 2)
+    kernel = FiniteKernel(tuple(f"p{i}" for i in range(n)), kind, table)
+    literal = sign + "1" + "0" * 309
+    data = save_kernel(kernel).replace(b"0.25", literal.encode(), 1)
+    decoder = mock.Mock(wraps=kernel_module._DECODER)
+    with mock.patch.object(kernel_module, "_DECODER", decoder):
+        outcome = _outcome(data)
+    assert any(call.args[0].startswith("[" + literal + ",") for call in decoder.decode.call_args_list)
+    assert outcome == _document_outcome(data)
+    assert outcome == (KernelFormatError, "entries[0][0].re: non-finite value" if kind == "complex"
+                       else "entries[0][0].m[0][0]: non-finite value")
 
 
 # one real of a row moved to any other place in it, or characters of the

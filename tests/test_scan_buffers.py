@@ -1,9 +1,11 @@
 """The defect scan evaluates every slab in per-worker buffers, all made in
-the calling thread, with its products formed as outer products in one pass;
-its reports must equal those of an unbuffered, broadcasting reference scan
-bit for bit."""
+the calling thread, with each two-term product of its values formed in one
+einsum pass, or as two outer products where einsum fuses a multiply into the
+sum; its reports must equal those of an unbuffered, broadcasting reference
+scan bit for bit."""
 
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,9 +20,15 @@ from conftest import (
     unbuffered_slabs,
     usable_cpus,
 )
-from sincov import FiniteKernel, GeneratorSpec, diagonal_report, generate, slice_residual, sincov_defect
+from sincov import (
+    FiniteKernel, GeneratorSpec, diagonal_report, generate, save_kernel, slice_residual, sincov_defect,
+)
 from sincov import analysis
-from sincov.kernel import _COMPONENT_RANGE, _KINDS, _components, _components_in_range, _outer, _scaled
+from sincov.cli import main
+from sincov.kernel import (
+    _COMPONENT_RANGE, _KINDS, _SCAN_DOT, _components, _components_in_range, _dot, _einsum_dot,
+    _outer, _outer_dot, _rounds_once, _scaled,
+)
 
 SIZES = (1, 2, 63, 64, 65, 130)  # around the smallest size scanned in parallel
 RANDOM = {"complex": random_complex_kernel, "mat2": random_mat2_kernel}
@@ -78,6 +86,120 @@ def test_outer_products_equal_broadcast_multiplies():
     same = (got == want) | (np.isnan(got) & np.isnan(want))
     assert same.all()
     assert np.array_equal(np.signbit(got[got != 0]), np.signbit(want[want != 0]))
+
+
+# the scan takes _einsum_dot where the probe at import finds it rounding as _dot does
+WITH_EINSUM = pytest.mark.skipif(_SCAN_DOT is not _einsum_dot, reason="einsum fuses a multiply into a sum")
+DOTS = [pytest.param(_outer_dot, id="outer"), pytest.param(_einsum_dot, id="einsum", marks=WITH_EINSUM)]
+
+
+@pytest.mark.parametrize("dot", DOTS)
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 80),
+    st.integers(1, 80),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 0.2]),
+    st.sampled_from([0.0, 0.05]),
+    st.sampled_from([np.add, np.subtract]),
+)
+def test_two_term_products_equal_the_elementwise_form(dot, rows, cols, seed, zeros, specials, op):
+    """op(x[i] y[j], z[i] w[j]) for operands +-m 2^e, e in [-540, 540], with
+    signed zeros, infinities and NaN among them; products overflow and
+    underflow.  Only the sign of a zero may differ."""
+    rng = np.random.default_rng(seed)
+
+    def draw(size):
+        exponents = rng.integers(-540, 541, size)
+        v = rng.choice([-1.0, 1.0], size) * np.ldexp(rng.uniform(1.0, 2.0, size), exponents)
+        pick = rng.uniform(size=size)
+        v[pick < zeros] = rng.choice([-0.0, 0.0], size)[pick < zeros]
+        v[pick > 1.0 - specials] = rng.choice([np.inf, -np.inf, np.nan], size)[pick > 1.0 - specials]
+        return v
+
+    x, z, y, w = draw(rows), draw(rows), draw(cols), draw(cols)
+    with np.errstate(all="ignore"):
+        want = _dot(x[:, None], y, z[:, None], w, op)
+        got = dot(x, y, z, w, op, out=np.empty((rows, cols)), scratch=np.empty((rows, cols)))
+    assert ((got == want) | (np.isnan(got) & np.isnan(want))).all()
+
+
+def _exact_einsum(fuse):
+    """np.einsum of "ki,kj->ij" in exact fractions: each product rounded but
+    product fuse (0, 1 or None), then the sum rounded once."""
+
+    def einsum(subscripts, cols, rows, out):
+        assert subscripts == "ki,kj->ij"
+        for i, j in np.ndindex(out.shape):
+            terms = [Fraction(cols[k, i]) * Fraction(rows[k, j]) for k in (0, 1)]
+            out[i, j] = float(sum(t if k == fuse else Fraction(float(t)) for k, t in enumerate(terms)))
+        return out
+
+    return einsum
+
+
+@pytest.mark.parametrize("fuse, rounds_once", [(None, True), (0, False), (1, False)])
+def test_the_probe_tells_a_fused_einsum(monkeypatch, fuse, rounds_once):
+    monkeypatch.setattr(np, "einsum", _exact_einsum(fuse))
+    assert _rounds_once(_einsum_dot) is rounds_once
+
+
+def _recorded_einsum(monkeypatch) -> list:
+    """The subscripts of every np.einsum call from now on."""
+    calls, einsum = [], np.einsum
+
+    def recorded(subscripts, *operands, **kwargs):
+        calls.append(subscripts)
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", recorded)
+    return calls
+
+
+@WITH_EINSUM
+@pytest.mark.parametrize("kind, calls", [("complex", 2), ("mat2", 4)])
+def test_a_slab_takes_one_einsum_per_product_component(monkeypatch, kind, calls):
+    kernel = RANDOM[kind](np.random.default_rng(8), 9)
+    monkeypatch.setenv("SINCOV_THREADS", "1")
+    recorded = _recorded_einsum(monkeypatch)
+    sincov_defect(kernel)
+    assert recorded == ["ki,kj->ij"] * (calls * kernel.n)
+
+
+def _tiny_component(kernel: FiniteKernel) -> FiniteKernel:
+    table = kernel.table.copy()
+    table.reshape(kernel.n, kernel.n, -1).view(np.float64)[3, 5, 1] = 1e-200
+    return FiniteKernel(kernel.labels, kernel.value_kind, table)
+
+
+@pytest.mark.parametrize("range_", ["in", "out"])
+@pytest.mark.parametrize("kind", ["complex", "mat2"])
+def test_a_fusing_einsum_leaves_the_scan_outer_products(monkeypatch, tmp_path, capsys, kind, range_):
+    """With the probe's choice forced to "fused", the scan forms its products
+    as outer products, and defect and check report the same bytes on one
+    thread and on two as with einsum."""
+    kernel = RANDOM[kind](np.random.default_rng(9), 70)  # scanned in parallel from 64 points
+    kernel = kernel if range_ == "in" else _tiny_component(kernel)
+    assert _components_in_range(kernel.table) == (range_ == "in")
+    path = tmp_path / "kernel.json"
+    path.write_bytes(save_kernel(kernel))
+    usable_cpus(monkeypatch, 2)
+
+    def reports():
+        found = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SINCOV_THREADS", threads)
+            for command in ("defect", "check"):
+                assert main([command, "-i", str(path)]) == 0
+                found.append(capsys.readouterr().out)
+        return found
+
+    expected = reports()
+    monkeypatch.setattr("sincov.analysis._SCAN_DOT", _outer_dot)  # the probe's choice where einsum fuses
+    recorded = _recorded_einsum(monkeypatch)
+    assert reports() == expected
+    assert expected[0::2] == [expected[0]] * 2 and expected[1::2] == [expected[1]] * 2
+    assert recorded and set(recorded) == {"i,j->ij"}
 
 
 # exact kernels: most terms are exactly zero, which the norms keep without
