@@ -20,7 +20,9 @@ are processed concurrently (0 = auto: the usable CPUs).  sincov_defect keeps
 each slab's argmax, maximum and sum; its argmax breaks ties toward the
 lexicographically smallest (a, x, b) index triple, so results are identical
 for any chunking or thread count.  The checks need the defect alone, and
-_defect keeps each slab's maximum, of the squared moduli for complex kernels.
+_defect makes one pass per kernel that keeps each slab's maximum: of the
+squared moduli for a complex kernel whose components are in range (below),
+and of the kind's norm for every other kernel.
 
 Range policy: every norm of a kernel value is the kind's declared norm
 (kernel._KINDS), which is finite whenever the exact norm is inside float64
@@ -181,30 +183,29 @@ def _slab_function(kernel: FiniteKernel, formula=None):
     return slab, buffers
 
 
-def _scan(kernel: FiniteKernel, reduce, formula=None, xs=None) -> list:
-    """[reduce(D) for each slab x in xs, all slabs by default], D its terms (see
-    _slab_function), in chunks of slabs on up to thread_limit() threads.  The
-    calling thread scans the first chunk; the first failed chunk's error is
-    raised."""
-    xs = range(kernel.n) if xs is None else xs
+def _scan(kernel: FiniteKernel, reduce, formula=None) -> list:
+    """[reduce(D) for each slab x], D its terms (see _slab_function), in chunks
+    of slabs on up to thread_limit() threads.  The calling thread scans the
+    first chunk; the first failed chunk's error is raised."""
+    n = kernel.n
     slab, buffers = _slab_function(kernel, formula)
-    workers = min(thread_limit(), len(xs))
-    step = -(-len(xs) // workers) if kernel.n >= _PARALLEL_MIN_SIZE else len(xs)
-    chunks = [range(lo, min(lo + step, len(xs))) for lo in range(0, len(xs), step)]
+    workers = min(thread_limit(), n)
+    step = -(-n // workers) if n >= _PARALLEL_MIN_SIZE else n
+    chunks = [range(lo, min(lo + step, n)) for lo in range(0, n, step)]
     # Every chunk's buffers are made here, in the calling thread, and reused
     # for each of the chunk's slabs.  glibc's malloc gives each thread an
     # arena of its own, and what a thread frees goes back to its arena:
     # buffers made in a worker would leave their pages there when it exits,
     # and the calling thread's later arrays would need fresh ones.
     outs = [buffers() for _ in chunks]
-    results = [None] * len(xs)
+    results = [None] * n
     errors: list[BaseException | None] = [None] * len(chunks)
 
     @_in_range
     def scan(i: int) -> None:
         try:
-            for k in chunks[i]:
-                results[k] = reduce(slab(xs[k], outs[i]))
+            for x in chunks[i]:
+                results[x] = reduce(slab(x, outs[i]))
         except BaseException as exc:  # kept for the caller, which re-raises it
             errors[i] = exc
 
@@ -265,38 +266,18 @@ def sincov_defect(kernel: FiniteKernel) -> DefectReport:
 
 
 def _defect(kernel: FiniteKernel) -> float:
-    """sincov_defect(kernel).defect, bit for bit, from one pass that keeps each slab's
-    maximum alone: for a complex kernel of the squared moduli, whose largest is rooted
-    once per slab, and for a mat2 kernel of the norms.  Out of range, a complex slab
-    whose root leaves the window below is scanned again with the guarded norm, and a
-    complex kernel whose every slab would be takes that norm at once.  A term that is
-    not finite makes the full pass raise."""
-    # A complex kernel whose every component has modulus at most 2^-490 has
-    # product components of at most 2^-979 and differences with F(a, b) of at
-    # most 2^-490 (the excess, 2^-979, is below half its ulp, 2^-543), so its
-    # squares are at most 2^-980 and their sums 2^-979, rounded or lost to
-    # underflow, and every slab's root is at most 2^-489.5 < 2^-479: the
-    # squared-modulus pass below would scan every slab again.  (A zero kernel
-    # is in range, and this pass runs its bare norm.)
-    if kernel.value_kind != COMPLEX or np.abs(kernel.table.view(np.float64)).max() <= 2.0**-490:
-        c = float(np.max(_scan(kernel, np.max)))
-        return c if math.isfinite(c) else sincov_defect(kernel).defect
-    # sqrt is correctly rounded and monotone, so M = sqrt(max s) is the
-    # largest unguarded modulus of its slab.  On a kernel whose components are
-    # in range, that is every term's norm (see kernel._components_in_range),
-    # so M is the slab's maximum, 0 included.  On any kernel, _cnorm keeps M
-    # where it lies inside its window [2^-480, 2^480], and the terms of the
-    # slab it recomputes have s < 2^-960; their squares and sum each rounded
-    # off at most 2^-1075 or a relative 2^-53, so their exact moduli, and
-    # within a few ulps their recomputed ones, are under 2^-479.  So where
-    # 2^-479 <= M <= 2^480, M is the slab's guarded maximum; any other slab
-    # (NaN fails both tests) is scanned again with the guarded norm.
-    roots = np.sqrt(_scan(kernel, np.max, _squared_modulus))
-    if not _components_in_range(kernel.table):
-        redo = np.flatnonzero(~((roots >= 2.0**-479) & (roots <= 2.0**480)))
-        if redo.size:
-            roots[redo] = _scan(kernel, np.max, xs=redo)
-    c = float(roots.max())  # np.max propagates NaN, which is not finite
+    """sincov_defect(kernel).defect, bit for bit, from one pass that keeps each
+    slab's maximum alone, in the form that the range test picks.  A complex
+    kernel whose components are in range (kernel._components_in_range) keeps
+    the squared moduli, and the largest is rooted once: sqrt is correctly
+    rounded and monotone, and there the bare modulus is the norm.  Every other
+    kernel keeps the kind's norm, bare in range and guarded outside it (see
+    _norm_in_place).  A term that is not finite makes the report's pass raise
+    the error that names it."""
+    if kernel.value_kind == COMPLEX and _components_in_range(kernel.table):
+        c = float(np.sqrt(np.max(_scan(kernel, np.max, _squared_modulus))))
+    else:
+        c = float(np.max(_scan(kernel, np.max)))  # np.max propagates NaN, which is not finite
     return c if math.isfinite(c) else sincov_defect(kernel).defect
 
 

@@ -286,7 +286,10 @@ def _norm2x2(m00, m01, m10, m11, out=_UNBUFFERED):
 # A value is stored as dtype with shape; its float64 view holds its components in
 # storage order.  keys, form, slots: a file entry's keys, its form, where its reals are;
 # entry: the bytes save_kernel writes for it, with a %r for each real in storage order.
-# outs: the indices of out that mul and norm write.
+# outs: the indices of out that mul and norm write.  Complex mul writes its scratch,
+# out[2], only through _dot and the scan's outer-product fallback, _outer_dot, so
+# "exactly those buffers" holds only there: with _einsum_dot, which takes no
+# scratch, the scan makes out[2] and never writes it.
 _Kind = namedtuple("_Kind", "dtype shape mul norm one keys form slots entry outs")
 _KINDS = {
     COMPLEX: _Kind(np.complex128, (), _cmul, _cnorm, (1.0, 0.0),

@@ -352,34 +352,37 @@ def _constant(value: float) -> FiniteKernel:
     return generate(GeneratorSpec("constant", value=value, size=70))
 
 
-# complex kernels with a component below the range: one scan of the squared
-# moduli, then the guarded norm on the slabs whose largest root leaves the
-# window [2^-479, 2^480]: none (one tiny component among terms near 1), one
-# (an all-zero slab) or all (every term is about 2^-490); and a kernel whose
-# every component has modulus at most 2^-490, whose every slab would leave
-# it, makes the guarded scan alone
-SQUARES, GUARDED, ALL = _squared_modulus, None, range(70)  # None: the guarded norm
+# complex kernels with a component below the range: one tiny component among
+# terms near 1, an all-zero slab among terms near 1, and every component at or
+# just above 2^-490
 OUT_OF_RANGE_KERNELS = {
-    "constant-1e-160": (_constant(1e-160), [(GUARDED, ALL)]),
-    "constant-2^-490": (_constant(2.0**-490), [(GUARDED, ALL)]),
-    "above-2^-490": (_constant(np.nextafter(2.0**-490, 1.0)), [(SQUARES, ALL), (GUARDED, ALL)]),
-    "one-column": (_one_column_kernel(), [(SQUARES, ALL), (GUARDED, [5])]),
-    "tiny-component": (_with_tiny_component(random_complex_kernel(np.random.default_rng(3), 70)),
-                       [(SQUARES, ALL)]),
+    "constant-1e-160": _constant(1e-160),
+    "constant-2^-490": _constant(2.0**-490),
+    "above-2^-490": _constant(np.nextafter(2.0**-490, 1.0)),
+    "one-column": _one_column_kernel(),
+    "tiny-component": _with_tiny_component(random_complex_kernel(np.random.default_rng(3), 70)),
+}
+# the form of the one scan: squared moduli for a complex kernel in range, and
+# the kind's norm (None) for every other kernel
+SQUARES, NORM = _squared_modulus, None
+SCAN_FORMS = {
+    **{name: NORM for name in OUT_OF_RANGE_KERNELS},
+    "complex": SQUARES, "constant-1": SQUARES, "ratio": SQUARES,
+    "mat2": NORM, "mat2_ratio": NORM,
 }
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-@pytest.mark.parametrize("name", sorted(OUT_OF_RANGE_KERNELS))
-def test_maximum_pass_rescans_only_out_of_window_slabs(monkeypatch, name, threads):
-    kernel, expected = OUT_OF_RANGE_KERNELS[name]
-    assert not _components_in_range(kernel.table)
+@pytest.mark.parametrize("name", sorted(SCAN_FORMS))
+def test_maximum_pass_scans_once_in_the_form_the_range_test_picks(monkeypatch, name, threads):
+    kernel = {**MAXIMUM_PASS_KERNELS, **OUT_OF_RANGE_KERNELS}[name]
+    assert _components_in_range(kernel.table) == (name in MAXIMUM_PASS_KERNELS)
     want = sincov_defect(kernel).defect
     scans = []
 
-    def counted(kernel, reduce, formula=None, xs=None):
-        scans.append((formula, list(range(kernel.n) if xs is None else xs)))
-        return scan(kernel, reduce, formula, xs)
+    def counted(kernel, reduce, formula=None):
+        scans.append(formula)
+        return scan(kernel, reduce, formula)
 
     def no_report(kernel):
         raise AssertionError("fell back to the report's pass")
@@ -390,4 +393,4 @@ def test_maximum_pass_rescans_only_out_of_window_slabs(monkeypatch, name, thread
     monkeypatch.setattr("sincov.analysis._scan", counted)
     monkeypatch.setattr("sincov.analysis.sincov_defect", no_report)
     assert analysis._defect(kernel).hex() == want.hex()
-    assert scans == [(formula, list(xs)) for formula, xs in expected]
+    assert scans == [SCAN_FORMS[name]]
