@@ -704,28 +704,17 @@ def generate(spec: GeneratorSpec) -> FiniteKernel:
 #     "entries": [[ {"re": r, "im": i} | {"m": [[a, b], [c, d]]}, ...], ...] }
 # entries is row-major, entries[i][j] = F(labels[i], labels[j]).  Unknown
 # top-level keys are rejected.  Every real is a finite JSON integer or decimal
-# literal.  _parse reads the document, each level of nesting is checked in
-# full with one C-level pass (_spread, _fields), and every real is read in
-# storage order with one call to _reals.  A pass that fails names the first
-# bad item of its level, so a document with several defects is reported at
-# its outermost bad level, in storage order, and a bad shape always before a
-# bad real.
-#
-# A kernel document in the layout save_kernel writes (its three keys once
-# each and in that order, any JSON whitespace between tokens, nothing but
-# whitespace after the closing brace) is read one row at a time instead, by
-# _by_rows, and its reals go into one preallocated array, so at most one row
-# of Python objects is alive, where the whole document takes several times
-# the file's size.  _by_rows works on the file's bytes and decodes only the
-# head and each row that is not flat, so the document is never held twice,
-# as bytes and as text.  A row written exactly as save_kernel writes it (no
-# spaces, its keys unescaped and in the written order) is cut at its fixed
-# groups into one flat JSON array of its reals (_flat_rows), from which
-# json's scanner makes the floats and one list and nothing else.  Any other
-# row, spaced, with escaped keys or with its keys in another order, is
-# parsed as JSON values and checked and flattened by the same passes.  On
-# any other layout, and on any defect, _by_rows declines and the whole
-# document is decoded and read as above, so every error is the same.
+# literal.  A document is read in one of two ways, to the same kernel or the
+# same error.  The bytes save_kernel writes are read one row at a time by
+# _by_rows, each row from one flat JSON array of its reals, into one
+# preallocated array, so at most one row of Python objects is alive and the
+# document is never held twice, as bytes and as text.  Every other document,
+# and one with a defect, is decoded and parsed whole (_parse), each level of
+# nesting is checked in full with one C-level pass (_spread, _fields), and
+# every real is read in storage order with one call to _reals.  A pass that
+# fails names the first bad item of its level, so a document with several
+# defects is reported at its outermost bad level, in storage order, and a bad
+# shape always before a bad real.
 
 _TOP_KEYS = ("labels", "value_kind", "entries")
 
@@ -814,11 +803,17 @@ def _int_literal(literal: str):
         return float(literal)
 
 
+_DECODER = json.JSONDecoder(parse_int=_int_literal, parse_constant=_reject_constant)
+
+
 def _parse(text: str):
     """The JSON document in text.  NaN and Infinity are rejected, as is a
-    document nested too deeply for the parser."""
+    document nested too deeply for the parser, and a leading byte order mark,
+    as json.loads rejects it."""
     try:
-        return json.loads(text, parse_constant=_reject_constant, parse_int=_int_literal)
+        if text.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise KernelFormatError(f"invalid JSON: {exc}") from None
     except RecursionError:
@@ -837,8 +832,7 @@ def _check_head(labels, kind) -> None:
 
 def _entry_reals(rows: list, n: int, kind: str) -> np.ndarray:
     """The reals of rows of entries of kind, n to a row, in storage order,
-    each level checked in full before the next.  Locations count rows from
-    the first of rows."""
+    each level checked in full before the next."""
     algebra = _KINDS[kind]
     cell = lambda k: "entries[%d][%d]" % divmod(k, n)
     # each level's list replaces the one before
@@ -853,112 +847,70 @@ def _entry_reals(rows: list, n: int, kind: str) -> np.ndarray:
 
 _NUMBER_CHARS = b"0123456789+-.eE"  # the characters of JSON numbers
 _LONGEST_REAL = len(repr(-2.2250738585072014e-308))  # 24, the longest float repr
-_DECODER = json.JSONDecoder(parse_int=_int_literal, parse_constant=_reject_constant)  # as _parse
-_SPACE = re.compile(rb"[ \t\n\r]*").match  # JSON's whitespace
-_ROW_END = re.compile(rb"\}[ \t\n\r]*\]").search  # a row's end: its last entry's "}", then "]"
-
-
-# The head of a document in save_kernel's layout, up to its first row, with
-# "_" for JSON whitespace and "S" for a JSON string of any bytes: the three keys
-# (groups 1, 3 and 5), an array of strings (group 2) and a string (group 4).  A
-# quote ends a string only where no backslash escapes it, so the match ends
-# where the JSON grammar puts the head's end, whatever the labels hold.
-_HEAD = re.compile(rb"_\{_(S)_:_(\[_S(?:_,_S)*_\])_,_(S)_:_(S)_,_(S)_:_\[_"
-                   .replace(b"_", rb"[ \t\n\r]*").replace(b"S", rb'"(?:[^"\\]|\\.)*"')).match
-
-
-def _flat_rows(data: bytes, kind: str, n: int):
-    """read(pos): the reals of the row of n entries of kind at pos, and the
-    position after it and the whitespace after it, for a row written as
-    save_kernel writes it; None for a row in any other form or with a defect.
-
-    A row has that form when it starts with the row template's head, when
-    deleting its number characters leaves the template's skeleton, and when
-    it holds the separator between entries n - 1 times and the separator
-    inside an entry that is not a lone comma n times.  Each of these groups
-    then stands whole where the template puts it (the skeleton alone would
-    also pass a real written inside a group, or the key "r5e" for "re"), so
-    every number character lies in a real's slot, and the reals are the
-    elements of one flat JSON array: the row with its head and tail cut off,
-    each separator between entries replaced by a comma and every other
-    character of the separator inside an entry deleted.  The skeleton is
-    ASCII, so a row of that form is ASCII too.  The search for the row's
-    end stops at the longest row of that form whose reals are float reprs."""
-    algebra = _KINDS[kind]
-    width = len(algebra.slots)
-    parts = [part.encode() for part in algebra.entry.split("%r")]  # complex: '{"re":', ',"im":', '}'
-    head, tail, sep = b"[" + parts[0], parts[-1] + b"]", parts[-1] + b"," + parts[0]
-    (inner,) = set(parts[1:-1]) - {b","}
-    cut = inner.replace(b",", b"")
-    fixed = _row(kind, n).replace("%r", "").encode()
-    skeleton = fixed.translate(None, _NUMBER_CHARS)
-    longest = len(fixed) + _LONGEST_REAL * n * width
-
-    def read(pos: int):
-        end = data.find(tail, pos, pos + longest) if data.startswith(head, pos) else -1
-        row = data[pos:end + len(tail)]
-        if not (end >= 0 and row.translate(None, _NUMBER_CHARS) == skeleton and row.count(inner) == n):
-            return None
-        body = row[len(head):-len(tail)]
-        flat = body.replace(sep, b",")
-        # The separators, counted by the length that replace took off: none can
-        # overlap itself, the head or the tail (no proper end of the head or of
-        # a separator begins a separator or the tail), so the body holds all
-        # of the row's, as many as row.count(sep) finds.
-        if len(body) - len(flat) != (n - 1) * (len(sep) - 1):
-            return None
-        try:  # a JSON array of number tokens, so every value is an int or a float
-            reals = np.array(_DECODER.decode("[%s]" % flat.translate(None, cut).decode("ascii")),
-                             np.float64)
-        except (ValueError, OverflowError):  # JSONDecodeError; an integer beyond float range
-            return None
-        if len(reals) == n * width and np.isfinite(reals).all():
-            return reals, _SPACE(data, end + len(tail)).end()
-        return None
-
-    return read
+# The head save_kernel writes, up to its first row, with "S" for a JSON string
+# of any bytes: the labels (group 1) and the value kind (group 2).  A quote
+# ends a string only where no backslash escapes it, so the match ends where
+# the JSON grammar puts the head's end, whatever the labels hold.
+_HEAD = re.compile(rb'\{"labels":(\[S(?:,S)*\]),"value_kind":(S),"entries":\['
+                   .replace(b"S", rb'"(?:[^"\\]|\\.)*"')).match
 
 
 def _by_rows(data: bytes):
-    """(labels, kind, reals) of a kernel document in save_kernel's layout,
-    read one row at a time from its bytes; None for any other document, and
-    for one with a defect, which the whole-document path then names.  Only
-    the head and the rows that are not flat are decoded, each on its own;
-    every other byte is matched against ASCII text, so a document read here
-    is valid UTF-8.  (The errors raised inside count rows from the row at
-    hand; none leaves this function.)"""
+    """(labels, kind, reals) of the bytes save_kernel writes, with or without
+    the final newline, read one row at a time; None for any other document,
+    and for one with a defect, which the whole-document path then names.
+    Only the head is decoded; every other byte is matched against ASCII text,
+    so a document read here is valid UTF-8.
 
-    def skip(pos: int, token: bytes) -> int:
-        """The position after token, which must stand at pos, and the whitespace after it."""
-        if data[pos:pos + 1] != token:
-            raise ValueError(f"expected {token!r} at {pos}")
-        return _SPACE(data, pos + 1).end()
-
+    The rows follow the head, joined by commas, then "]}".  A row is read as
+    one flat JSON array of its reals: the row with the row template's head
+    and tail cut off, each separator between entries replaced by a comma and
+    every other character of the separator inside an entry deleted.  That
+    array holds each real from its own slot when the row starts with the
+    template's head, when deleting its number characters leaves the
+    template's skeleton, and when it holds the separator inside an entry that
+    is not a lone comma n times.  These groups then stand whole where the
+    template puts them (the skeleton alone would also pass a real written
+    inside a group, or the key "r5e" for "re"), and so does each separator
+    between entries, with no count of its own: the first one that is not
+    whole is not replaced, so its "}" stays in the flat text behind nothing
+    but reals and commas, and json's decoder rejects a "}" in an array.  The
+    skeleton is ASCII, so a row of that form is ASCII too.  The search for
+    the row's end stops at the longest row of that form whose reals are
+    float reprs."""
     head = _HEAD(data)
     if head is None:
         return None
     try:
-        values = [_DECODER.decode(group.decode("utf-8")) for group in head.groups()]
-        if tuple(values[::2]) != _TOP_KEYS:
-            return None
-        labels, kind = values[1::2]
+        labels, kind = [_DECODER.decode(group.decode("utf-8")) for group in head.groups()]
         _check_head(labels, kind)
-        n, width = len(labels), len(_KINDS[kind].slots)
-        if n * n * width > len(data):  # each real takes a byte at least
-            return None
-        reals, flat, pos = np.empty((n, n * width)), _flat_rows(data, kind, n), head.end()
-        for i in range(n):
-            if read := flat(pos):
-                reals[i], pos = read
-            elif end := _ROW_END(data, pos):  # no value in a row holds a "}"
-                row = _DECODER.decode(data[pos:end.end()].decode("utf-8"))
-                reals[i], pos = _entry_reals([row], n, kind), _SPACE(data, end.end()).end()
-            else:
-                return None
-            pos = skip(pos, (b",", b"]")[i == n - 1])
-        return (labels, kind, reals) if skip(pos, b"}") == len(data) else None
-    except (ValueError, RecursionError):  # KernelFormatError, JSONDecodeError, UnicodeDecodeError
+    except ValueError:  # KernelFormatError, JSONDecodeError, UnicodeDecodeError
         return None
+    algebra, n = _KINDS[kind], len(labels)
+    width = len(algebra.slots)
+    if n * n * width > len(data):  # each real takes a byte at least
+        return None
+    parts = [part.encode() for part in algebra.entry.split("%r")]  # complex: '{"re":', ',"im":', '}'
+    first, tail, sep = b"[" + parts[0], parts[-1] + b"]", parts[-1] + b"," + parts[0]
+    (inner,) = set(parts[1:-1]) - {b","}
+    cut = inner.replace(b",", b"")
+    fixed = _row(kind, n).replace("%r", "").encode()
+    skeleton, longest = fixed.translate(None, _NUMBER_CHARS), len(fixed) + _LONGEST_REAL * n * width
+    reals, pos = np.empty((n, n * width)), head.end()
+    for i in range(n):
+        end = data.find(tail, pos, pos + longest) if data.startswith(first, pos) else -1
+        row = data[pos:end + len(tail)]
+        if not (end >= 0 and row.translate(None, _NUMBER_CHARS) == skeleton and row.count(inner) == n):
+            return None
+        flat = row[len(first):-len(tail)].replace(sep, b",").translate(None, cut)
+        try:  # n * width number tokens, as the skeleton's commas fix, so ints and floats
+            reals[i] = _DECODER.decode("[%s]" % flat.decode("ascii"))
+        except (ValueError, OverflowError):  # JSONDecodeError; an integer beyond float range
+            return None
+        pos = end + len(tail) + 1
+        if data[pos - 1:pos] != (b",", b"]")[i == n - 1]:
+            return None
+    return (labels, kind, reals) if data[pos:] in (b"}", b"}\n") and np.isfinite(reals).all() else None
 
 
 def _document(doc) -> tuple:
@@ -982,11 +934,10 @@ def _document(doc) -> tuple:
 def load_kernel(data: bytes) -> FiniteKernel:
     """Parse and validate a kernel document; inverse of save_kernel.
 
-    The bytes of a document in save_kernel's layout, spaced in any way, are
-    read one row at a time, with at most one row of Python objects alive, and
-    a row written as save_kernel writes it from one flat JSON array of its
-    reals; any other document, and any text given as str, is decoded and
-    parsed whole.  All give the same kernel, and a defect the same error."""
+    The bytes save_kernel writes are read one row at a time, each row from
+    one flat JSON array of its reals, with at most one row of Python objects
+    alive; any other document, and any text given as str, is decoded and
+    parsed whole.  Both give the same kernel, and a defect the same error."""
     raw = isinstance(data, (bytes, bytearray))
     read = _by_rows(data) if raw else None
     if read is None:

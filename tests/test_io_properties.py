@@ -143,7 +143,7 @@ def test_mutated_kernel_documents_raise_only_format_errors(data, kernel):
 
 
 # Kernel documents written in other ways than save_kernel's.  load_kernel reads
-# a document in save_kernel's layout one row at a time and any other whole;
+# the bytes save_kernel writes one row at a time and any other document whole;
 # both must give the same kernel, or the same error.
 SPACE = st.text(" \t\n\r", max_size=3)
 
@@ -248,13 +248,13 @@ def _recorded(data: bytes) -> RecordedBytes:
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.data(), writer_kernels())
-def test_documents_in_the_saved_layout_are_read_row_by_row(data, kernel):
-    """The save_kernel bytes among them: the whole document is never decoded
-    or parsed."""
+@given(writer_kernels())
+def test_saved_bytes_are_read_row_by_row(kernel):
+    """With or without the final newline, and with the labels' text raw or
+    escaped: the whole document is never decoded or parsed."""
     saved = save_kernel(kernel)
     with mock.patch.object(kernel_module, "_parse", _unparsed):
-        for document in data.draw(in_saved_layout(saved)):
+        for document in (saved, saved[:-1], _copies(saved)["escaped"]):
             recorded = _recorded(document)
             assert save_kernel(load_kernel(recorded)) == saved, document
             assert recorded.decodes == 0, document
@@ -452,33 +452,66 @@ def test_saved_rows_are_read_from_flat_arrays(kind, n):
     assert back.table.tobytes() == kernel.table.tobytes()
 
 
-@pytest.mark.parametrize("kind", ["complex", "mat2"])
-def test_a_respaced_row_is_parsed_and_the_others_read_flat(kind):
-    """Both row paths in one document: the row reader reads it whole."""
-    kernel = _edit_kernel(kind)
+def _rows(kernel: FiniteKernel, real: str = "%r") -> list[str]:
+    """The rows of kernel's entries as save_kernel writes them, with each
+    real written by the format real."""
+    reals = kernel.table.reshape(kernel.n, kernel.n, -1).view(np.float64).tolist()
+    template = TEMPLATES[kernel.value_kind]
+    return ["[%s]" % ",".join(template % tuple(real % x for x in entry) for entry in row) for row in reals]
+
+
+def _with_rows(kernel: FiniteKernel, rows: list[str]) -> bytes:
+    """The document of save_kernel's head of kernel and rows."""
+    head = json.dumps({"labels": list(kernel.labels), "value_kind": kernel.value_kind},
+                      ensure_ascii=False, separators=(",", ":"))
+    return (head[:-1] + ',"entries":[' + ",".join(rows) + "]}\n").encode()
+
+
+def _respaced_row(kernel: FiniteKernel) -> bytes:
+    rows = _rows(kernel)
+    rows[kernel.n // 2] = json.dumps(json.loads(rows[kernel.n // 2]), indent=1)
+    return _with_rows(kernel, rows)
+
+
+def _escaped_key(key: str) -> str:
+    """An entry's key with every character as a \\u escape; a top-level key as saved."""
+    if key in ("labels", "value_kind", "entries"):
+        return json.dumps(key)
+    return '"%s"' % "".join("\\u%04x" % ord(c) for c in key)
+
+
+def _keys_reordered(saved: bytes, kernel: FiniteKernel) -> bytes:
+    """saved with the keys of each complex entry in the other order, or, as a
+    mat2 entry has one key, with the top-level keys in the other order."""
+    size = 3 if kernel.value_kind == "mat2" else 2  # of the objects to reorder
+    doc = json.loads(saved, object_pairs_hook=lambda pairs: dict(pairs[::-1] if len(pairs) == size else pairs))
+    return json.dumps(doc, ensure_ascii=False, separators=(",", ":")).encode()
+
+
+# Copies of a saved document in other layouts.  All but the first two keep
+# save_kernel's head, up to the mat2 copy with its keys reordered, so the row
+# reader declines them at a row.  Reals of 41 significant digits, longer than
+# any float repr, read back as the same floats.
+OTHER_LAYOUTS = {
+    "indented": lambda saved, kernel: json.dumps(json.loads(saved), indent=1, ensure_ascii=False).encode(),
+    "spaced": lambda saved, kernel: json.dumps(json.loads(saved), ensure_ascii=False).encode(),
+    "keys escaped": lambda saved, kernel: _json(json.loads(saved), str, _escaped_key).encode(),
+    "one row re-spaced": lambda saved, kernel: _respaced_row(kernel),
+    "keys reordered": _keys_reordered,
+    "reals longer than float reprs": lambda saved, kernel: _with_rows(kernel, _rows(kernel, "%.40e")),
+}
+
+
+@pytest.mark.parametrize("layout", OTHER_LAYOUTS)
+@settings(max_examples=50, deadline=None)
+@given(writer_kernels())
+def test_other_layouts_are_parsed_whole_once(layout, kernel):
     saved = save_kernel(kernel)
-    doc = json.loads(saved)
-    head = saved.decode().split('"entries":', 1)[0]
-    rows = [json.dumps(row, separators=(",", ":")) for row in doc["entries"]]
-    rows[1] = json.dumps(doc["entries"][1], indent=1)
-    data = (head + '"entries":[' + ",".join(rows) + "]}\n").encode()
-    rows_parsed = mock.Mock(wraps=kernel_module._entry_reals)
-    with mock.patch.object(kernel_module, "_parse", _unparsed), \
-            mock.patch.object(kernel_module, "_entry_reals", rows_parsed):
-        assert load_kernel(data) == kernel
-    assert rows_parsed.call_count == 1
-
-
-def test_rows_longer_than_float_reprs_are_parsed():
-    """The flat path's search for a row's end stops at the longest row whose
-    reals are float reprs; a longer row is parsed as JSON values."""
-    kernel = FiniteKernel(("a", "b"), "complex", np.full((2, 2), 0.25 + 0.5j))
-    zeros = b"0" * 30
-    data = save_kernel(kernel).replace(b"0.25", b"0.25" + zeros).replace(b"0.5", b"0.5" + zeros)
-    rows_parsed = mock.Mock(wraps=kernel_module._entry_reals)
-    with mock.patch.object(kernel_module, "_entry_reals", rows_parsed):
-        assert load_kernel(data) == kernel
-    assert rows_parsed.call_count == 2
+    assert _with_rows(kernel, _rows(kernel)) == saved
+    document = OTHER_LAYOUTS[layout](saved, kernel)
+    with mock.patch.object(kernel_module, "_parse", wraps=kernel_module._parse) as parse:
+        assert save_kernel(load_kernel(document)) == saved, document
+    assert parse.call_count == 1, document
 
 
 # Labels that hold non-ASCII text or pieces of the layout: the row reader
@@ -507,9 +540,9 @@ def test_labels_holding_layout_text_load_as_the_whole_document_does(kind, label)
     for name, document in _copies(saved).items():
         assert _outcome(document) == _document_outcome(document) == saved, name
         assert _outcome(document.decode()) == saved, name  # text is parsed whole
-        if name != "sorted":
-            with mock.patch.object(kernel_module, "_parse", _unparsed):
-                assert save_kernel(load_kernel(document)) == saved, name
+        with mock.patch.object(kernel_module, "_parse", wraps=kernel_module._parse) as parse:
+            assert save_kernel(load_kernel(document)) == saved, name
+        assert parse.call_count == (name in ("indented", "sorted")), name  # read whole once, or by rows
 
 
 # bytes that are not UTF-8: a stray continuation byte, a lead byte without

@@ -84,7 +84,9 @@ def _kernel_doc(kind: str) -> dict:
 
 
 def _bytes(doc) -> bytes:
-    return json.dumps(doc).encode("utf-8")
+    """doc in save_kernel's layout, without the final newline: the row reader
+    reads it, or declines at its defect."""
+    return json.dumps(doc, separators=(",", ":")).encode("utf-8")
 
 
 def _key_sorted(doc) -> bytes:
