@@ -47,8 +47,11 @@ def _error(category: str, message: str) -> None:
 
 
 def _write_output(path: str | None, data: bytes) -> None:
+    """data to the file at path, or else to stdout as bytes: the stdout
+    encoding (PYTHONIOENCODING, say) cannot change them or fail on them."""
     if path is None:
-        sys.stdout.write(data.decode("utf-8"))
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
     else:
         with open(path, "wb") as handle:
             handle.write(data)

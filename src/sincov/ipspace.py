@@ -173,8 +173,8 @@ def _gram_kernel(S: np.ndarray) -> FiniteKernel:
     (S are the scaled rows of _rows), and the diagonal is exactly 2 for real S."""
     G = S @ S.conj().T
     s = np.real(np.diag(G)).copy()
-    table = np.asarray((2.0 * G) / np.sqrt(np.multiply.outer(s, s)), dtype=np.complex128)
-    return FiniteKernel(tuple(f"v{i}" for i in range(len(S))), COMPLEX, table)
+    table = (2.0 * G) / np.sqrt(np.multiply.outer(s, s))
+    return FiniteKernel._owning([f"v{i}" for i in range(len(S))], COMPLEX, table)
 
 
 def normalized_gram(vectors: list[IPVector]) -> FiniteKernel:

@@ -321,11 +321,12 @@ def _is_number(x) -> bool:
     return isinstance(x, Number) and not isinstance(x, bool)
 
 
-def _numbers(data, dtype, what: str) -> np.ndarray:
-    """data as a new C-ordered array of dtype, under the value rule; a real dtype
+def _numbers(data, dtype, what: str, copy: bool = True) -> np.ndarray:
+    """data as a C-ordered array of dtype, under the value rule; a real dtype
     takes no complex number.  A fault raises KernelError(what must be ...).
     numpy data is judged by its one dtype, other data element by element:
-    numpy would read a boolean among numbers as a number."""
+    numpy would read a boolean among numbers as a number.  The array is new
+    unless copy is false and data is already such an array."""
     try:
         a = np.asarray(data)
         if a.dtype == object or not isinstance(data, (np.ndarray, np.generic)):
@@ -334,16 +335,17 @@ def _numbers(data, dtype, what: str) -> np.ndarray:
                     raise TypeError(f"{type(x).__name__} {x!r}")
         if a.dtype.kind == "b" or not (a.dtype == object or np.can_cast(a.dtype, dtype, "same_kind")):
             raise TypeError(f"{a.dtype} data")
-        return a.astype(dtype, order="C")
+        return a.astype(dtype, order="C", copy=copy)
     except (TypeError, ValueError, OverflowError) as exc:
         raise KernelError(f"{what} must be {np.dtype(dtype)} numbers: {exc}") from None
 
 
-def _values(kind: str, data, lead: tuple[int, ...]) -> np.ndarray:
-    """data as a new C-ordered array of values of kind, of shape lead + the
-    value shape, all finite, under the value rule.  Each fault raises KernelError."""
+def _values(kind: str, data, lead: tuple[int, ...], copy: bool = True) -> np.ndarray:
+    """data as a C-ordered array of values of kind, of shape lead + the value
+    shape, all finite, under the value rule, new as _numbers makes it.  Each
+    fault raises KernelError."""
     algebra = _kind(kind)
-    a = _numbers(data, algebra.dtype, f"{kind} values")
+    a = _numbers(data, algebra.dtype, f"{kind} values", copy)
     want = lead + algebra.shape
     if a.shape != want:
         raise KernelError(f"{kind} data has shape {a.shape}, need {want}")
@@ -435,6 +437,11 @@ class FiniteKernel:
 
     The table is stored as a read-only numpy array: complex128 of shape
     (n, n) for kind "complex", float64 of shape (n, n, 2, 2) for "mat2".
+    The kernel owns its table: FiniteKernel(labels, kind, data) stores a
+    copy of data, so a later write to data leaves the kernel unchanged.
+    Only a table that sincov has just built for the kernel and holds
+    nowhere else is kept without a copy: load_kernel's, generate's and
+    normalized_gram's.
     """
 
     labels: tuple[str, ...]
@@ -442,14 +449,27 @@ class FiniteKernel:
     table: np.ndarray
 
     def __post_init__(self):
-        labels = tuple(str(lab) for lab in self.labels)
+        self._hold(self.labels, self.value_kind, self.table, copy=True)
+
+    @classmethod
+    def _owning(cls, labels, kind: str, table: np.ndarray) -> "FiniteKernel":
+        """The kernel of a table that the caller has just built and hands
+        over: checked as the constructor checks its data, with the same
+        errors, and made read-only, but not copied."""
+        kernel = cls.__new__(cls)
+        kernel._hold(labels, kind, table, copy=False)
+        return kernel
+
+    def _hold(self, labels, kind: str, data, copy: bool) -> None:
+        labels = tuple(str(lab) for lab in labels)
         if not labels:
             raise KernelError("kernel needs at least one label")
         if len(set(labels)) != len(labels):
             raise KernelError("duplicate labels")
-        table = _values(self.value_kind, self.table, (len(labels),) * 2)
+        table = _values(kind, data, (len(labels),) * 2, copy)
         table.setflags(write=False)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "value_kind", kind)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "_index", {lab: i for i, lab in enumerate(labels)})
 
@@ -696,7 +716,7 @@ GENERATOR_VARIANTS = tuple(_GENERATORS)
 @_in_range  # an entry beyond float64 range is caught by value, in FiniteKernel
 def generate(spec: GeneratorSpec) -> FiniteKernel:
     """Materialize the kernel described by a GeneratorSpec."""
-    return FiniteKernel(*_GENERATORS[spec.variant](spec)())
+    return FiniteKernel._owning(*_GENERATORS[spec.variant](spec)())
 
 
 # Kernel file format: a UTF-8 JSON document
@@ -948,4 +968,4 @@ def load_kernel(data: bytes) -> FiniteKernel:
         read = _document(_parse(text))
     labels, kind, reals = read
     algebra, n = _KINDS[kind], len(labels)
-    return FiniteKernel(tuple(labels), kind, reals.view(algebra.dtype).reshape((n, n) + algebra.shape))
+    return FiniteKernel._owning(labels, kind, reals.view(algebra.dtype).reshape((n, n) + algebra.shape))

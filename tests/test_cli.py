@@ -241,6 +241,19 @@ def test_output_to_stdout_when_no_file(tmp_path, capsys):
     json.loads(out)  # stdout carries the full report
 
 
+@pytest.mark.parametrize("encoding", ["latin-1", "ascii"])
+def test_stdout_gets_the_report_bytes_whatever_its_encoding(tmp_path, encoding):
+    kpath, opath = tmp_path / "k.json", tmp_path / "report.json"
+    kpath.write_bytes(save_kernel(FiniteKernel(("é", "ü"), "complex", [[1.0, 0.5], [2.0, 1.0]])))
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONIOENCODING=encoding)
+    argv = [sys.executable, "-m", "sincov", "defect", "-i", str(kpath)]
+    assert subprocess.run([*argv, "-o", str(opath)], env=env, timeout=60).returncode == 0
+    proc = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr.count(b"\n")) == (0, 1), proc.stderr
+    assert proc.stdout == opath.read_bytes()
+    assert "é" in proc.stdout.decode("utf-8")
+
+
 def test_check_tol_override(tmp_path, capsys):
     kpath = str(tmp_path / "k.json")
     run(["gen", "--example", "e1", "--n", "2", "--c", "1", "-o", kpath], capsys)

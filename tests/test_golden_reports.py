@@ -51,11 +51,13 @@ def case_id(kernel: str, command: tuple) -> str:
 
 
 def run_case(kernel: str, command: tuple) -> dict:
-    """Run one CLI command on a golden kernel, capturing both streams."""
-    out, err = io.StringIO(), io.StringIO()
+    """Run one CLI command on a golden kernel, capturing both streams; stdout
+    has a byte layer, as a process's has, since the CLI writes reports there."""
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([command[0], "-i", str(DATA / f"{kernel}.json"), *command[1:]])
-    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    out.flush()
+    return {"exit": code, "stdout": out.buffer.getvalue().decode("utf-8"), "stderr": err.getvalue()}
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,4 @@
-"""Property tests of the kernel file reader and writer."""
+"""Property tests of the kernel file reader and writer, and of the report writer."""
 
 import copy
 import json
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sincov import FiniteKernel, KernelFormatError, load_kernel, save_kernel
+from sincov import FiniteKernel, KernelFormatError, load_kernel, render_report, save_kernel
 from sincov import kernel as kernel_module
 
 # signed zero, subnormals, the smallest normal and the edges of float range
@@ -184,9 +184,10 @@ def _written(draw, pairs, *, spaced: bool, escaped: bool) -> str:
 
 
 @st.composite
-def in_saved_layout(draw, data: bytes) -> list[bytes]:
-    """The kernel document in data as saved, through json.dumps(indent=1), and
-    with JSON whitespace between any two tokens and keys spelled with escapes."""
+def saved_and_reformatted(draw, data: bytes) -> list[bytes]:
+    """The kernel document in data as saved, which is read row by row, and two
+    copies of it that are parsed whole: through json.dumps(indent=1), and with
+    JSON whitespace between any two tokens and keys spelled with escapes."""
     doc = json.loads(data)
     return [data, json.dumps(doc, indent=1).encode(),
             _written(draw, doc.items(), spaced=True, escaped=True).encode("utf-8")]
@@ -225,7 +226,7 @@ def _document_outcome(data: bytes):
 @given(st.data(), writer_kernels())
 def test_every_kernel_document_loads_as_the_whole_document_does(data, kernel):
     saved = save_kernel(kernel)
-    for document in data.draw(in_saved_layout(saved)) + data.draw(in_other_layouts(saved)):
+    for document in data.draw(saved_and_reformatted(saved)) + data.draw(in_other_layouts(saved)):
         assert _outcome(document) == _document_outcome(document), document
 
 
@@ -434,10 +435,6 @@ def test_randomly_edited_entries_load_as_the_whole_document_does(data, kernel):
     assert _outcome(document) == _document_outcome(document), document
 
 
-def _no_row_parse(*args):
-    raise AssertionError("a row was parsed as JSON values")
-
-
 @pytest.mark.parametrize("n", [1, 2, 70])
 @pytest.mark.parametrize("kind", ["complex", "mat2"])
 def test_saved_rows_are_read_from_flat_arrays(kind, n):
@@ -447,7 +444,7 @@ def test_saved_rows_are_read_from_flat_arrays(kind, n):
     if kind == "complex":
         table = table + 1j * rng.standard_normal(shape)
     kernel = FiniteKernel(tuple(f"p{i}" for i in range(n)), kind, table)
-    with mock.patch.object(kernel_module, "_entry_reals", _no_row_parse):
+    with mock.patch.object(kernel_module, "_parse", _unparsed):
         back = load_kernel(save_kernel(kernel))
     assert back.table.tobytes() == kernel.table.tobytes()
 
@@ -566,3 +563,44 @@ def test_bytes_that_are_not_utf8_load_as_the_whole_document_does(kind, place, ba
         outcome = _outcome(document)
         assert outcome == _document_outcome(document), name
         assert outcome[0] is KernelFormatError and outcome[1].startswith("not valid UTF-8: "), name
+
+
+# report documents: floats where repr changes form, also as numpy float64,
+# which json writes with float.__repr__; integers past int64; bools, None and
+# text with quotes, backslashes, control and non-ASCII characters, as values
+# and as keys (json writes a key that is not a str as the string of its text)
+REPORT_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.sampled_from([10 ** 30, -(10 ** 400)])
+    | WRITER_REALS | WRITER_REALS.map(np.float64) | LABELS
+)
+REPORT_DOCS = st.recursive(
+    REPORT_SCALARS,
+    lambda kids: st.lists(kids, max_size=3) | st.lists(kids, max_size=3).map(tuple)
+    | st.dictionaries(LABELS, kids, max_size=3) | st.dictionaries(REPORT_SCALARS, kids, max_size=2),
+    max_leaves=12,
+)
+
+
+def _json_report(doc) -> bytes:
+    return (json.dumps(doc, indent=2, ensure_ascii=False, allow_nan=False) + "\n").encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None)
+@given(REPORT_DOCS)
+def test_reports_are_the_bytes_of_json_dumps(doc):
+    assert render_report(doc) == _json_report(doc)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_floats_in_reports_raise_value_error(bad):
+    for doc in (bad, {"lhs": [1.0, bad]}, {"checks": [{"rhs": np.float64(bad)}]}, {bad: 1.0}):
+        for write in (render_report, _json_report):
+            with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+                write(doc)
+
+
+@pytest.mark.parametrize("doc", [{(1, 2): 3}, {"a": object()}, [{1j}]], ids=["key", "object", "set"])
+def test_what_json_cannot_write_raises_type_error_in_both_writers(doc):
+    for write in (render_report, _json_report):
+        with pytest.raises(TypeError):
+            write(doc)

@@ -14,6 +14,8 @@ from sincov import (
     UnknownLabelError,
     generate,
     load_kernel,
+    normalized_gram,
+    sample_vectors,
     save_kernel,
 )
 
@@ -71,8 +73,8 @@ def test_non_contiguous_tables_are_stored_c_ordered_and_saved(kind, layout):
 
 
 def test_loading_a_saved_kernel_holds_one_row_of_parsed_json_at_a_time():
-    """The peak stays below the document's size plus three table sizes: the
-    decoded text, the reals, the kernel's copy of them, and one row."""
+    """The load holds the table and one row of parsed JSON beside the
+    document: its peak stays below the document's size plus three table sizes."""
     kernel = random_mat2_kernel(np.random.default_rng(7), 96)
     data = save_kernel(kernel)
     tracemalloc.start()
@@ -82,6 +84,45 @@ def test_loading_a_saved_kernel_holds_one_row_of_parsed_json_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < len(data) + 3 * kernel.table.nbytes
+
+
+@pytest.mark.parametrize("kind", ["complex", "mat2"])
+def test_a_loaded_kernel_keeps_the_table_that_the_loader_filled(kind):
+    """No copy of the table is made: besides it the loader holds one row."""
+    rng = np.random.default_rng(8)
+    kernel = random_complex_kernel(rng, 64) if kind == "complex" else random_mat2_kernel(rng, 64)
+    data = save_kernel(kernel)
+    tracemalloc.start()
+    try:
+        loaded = load_kernel(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded == kernel
+    assert peak < 1.6 * kernel.table.nbytes
+
+
+@pytest.mark.parametrize("kind", ["complex", "mat2"])
+def test_the_constructor_keeps_a_copy_of_its_data(kind):
+    rng = np.random.default_rng(3)
+    source = random_complex_kernel(rng, 3) if kind == "complex" else random_mat2_kernel(rng, 3)
+    data = source.table.copy()
+    kernel = FiniteKernel(source.labels, kind, data)
+    assert data.flags.writeable and not kernel.table.flags.writeable
+    data[...] = 0.0
+    assert kernel == source
+
+
+def test_tables_that_sincov_builds_are_read_only():
+    rng = np.random.default_rng(6)
+    kernels = [generate(spec) for spec in ALL_SPECS]
+    kernels += [load_kernel(save_kernel(random_complex_kernel(rng, 3))),
+                load_kernel(save_kernel(random_mat2_kernel(rng, 3)).decode()),  # parsed whole
+                normalized_gram(sample_vectors(3, 4, "real", 0)),
+                normalized_gram(sample_vectors(3, 4, "complex", 0))]
+    for kernel in kernels:
+        assert not kernel.table.flags.writeable
+        assert kernel.table.flags.c_contiguous
 
 
 def test_saved_document_shape():
