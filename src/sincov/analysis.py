@@ -48,8 +48,8 @@ from json.encoder import encode_basestring
 import numpy as np
 
 from .kernel import (
-    _KINDS, COMPLEX, FiniteKernel, KernelError, _cmul, _cnorm, _components, _components_in_range,
-    _SCAN_DOT, _finite_sides, _in_range, _ratio_table, _squared_modulus,
+    _KINDS, COMPLEX, FiniteKernel, KernelError, _cmul, _cnorm, _components, _finite_sides, _in_range,
+    _ratio_table, _scan_dot, _squared_modulus,
 )
 
 TOL_SCALE = 1e-12
@@ -147,7 +147,7 @@ def _norm_in_place(kernel: FiniteKernel, formula=None):
     out[1].  The result is one of the buffers, so the next use of the same out
     overwrites it."""
     algebra = _KINDS[kernel.value_kind]
-    if formula is None and _components_in_range(kernel.table):
+    if formula is None and kernel._in_component_range:
         formula = algebra.norm.__wrapped__
 
     def norm(diffs, out) -> np.ndarray:
@@ -174,10 +174,11 @@ def _slab_function(kernel: FiniteKernel, formula=None):
     algebra = _KINDS[kernel.value_kind]
     norm, buffers = _norm_in_place(kernel, formula)
     parts = _components(kernel.table, kernel.value_kind)
+    dot = _scan_dot()
 
     def slab(x: int, out) -> np.ndarray:
         products = algebra.mul(*(p[:, x] for p in parts), *(p[x, :] for p in parts),
-                               out=out[0], dot=_SCAN_DOT)
+                               out=out[0], dot=dot)
         return norm([np.subtract(q, p, out=q) for q, p in zip(products, parts)], out)
 
     return slab, buffers
@@ -274,7 +275,7 @@ def _defect(kernel: FiniteKernel) -> float:
     kernel keeps the kind's norm, bare in range and guarded outside it (see
     _norm_in_place).  A term that is not finite makes the report's pass raise
     the error that names it."""
-    if kernel.value_kind == COMPLEX and _components_in_range(kernel.table):
+    if kernel.value_kind == COMPLEX and kernel._in_component_range:
         c = float(np.sqrt(np.max(_scan(kernel, np.max, _squared_modulus))))
     else:
         c = float(np.max(_scan(kernel, np.max)))  # np.max propagates NaN, which is not finite

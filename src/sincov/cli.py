@@ -10,8 +10,18 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import ctypes
 import gc
+import os
 import sys
+
+# No command calls a BLAS routine but sweep's Gram product, which is small,
+# and numpy's OpenBLAS starts a worker thread at import that spins before it
+# sleeps, burning CPU beside the interpreter.  So the command line runs
+# OpenBLAS on one thread unless the user chose otherwise; it can only choose
+# before numpy is imported, and `import sincov` imports no numpy.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .analysis import _defect, bound_suite, factorize, render_report, sincov_defect
 from .ipspace import FIELDS, VectorError, margin_sweep
@@ -36,6 +46,27 @@ PROG = "sincov"
 # collection visits the permanent generation, so cycles there are left to
 # the operating system.  Standard streams are still flushed at shutdown.
 atexit.register(gc.freeze)
+
+# The command line owns its process's allocator policy too: at stage
+# boundaries (after the imports; in check, after the defect pass and after
+# the checks) it hands the heap pages that glibc's malloc keeps after a free
+# back to the operating system (_trim), while load_kernel, sincov_defect and
+# bound_suite never trim.  Those pages are the imports' freed objects (with
+# PYTHONDONTWRITEBYTECODE, the compiler's, too) and the defect pass's: glibc
+# raises its mmap threshold when the pass frees its (n, n) buffers, so the
+# checks' later (n, n) arrays come from the heap, whose freed pages glibc
+# keeps.  Each of the three trims lowers a gram check's peak memory.
+
+
+def _trim() -> None:
+    """Return freed heap pages to the operating system: glibc's
+    malloc_trim(0), and nothing where the C library has no such call."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):  # not glibc: macOS, musl, Windows
+        return
+    trim.argtypes, trim.restype = (ctypes.c_size_t,), ctypes.c_int
+    trim(0)
 
 
 def _diag(message: str) -> None:
@@ -157,7 +188,9 @@ def _cmd_check(args) -> int:
     kernel = _read_kernel(args.input)
     ref = args.ref if args.ref is not None else kernel.labels[0]
     defect = _defect(kernel)
+    _trim()
     checks = bound_suite(kernel, ref, defect=defect, tol=args.tol)
+    _trim()
     all_hold = all(c.holds for c in checks)
     doc = {
         "defect": defect,
@@ -191,6 +224,7 @@ def main(argv: list[str] | None = None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
+        _trim()
         return args.func(args)
     except (KernelError, VectorError, OSError) as exc:
         _error("input", str(exc))

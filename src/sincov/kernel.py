@@ -54,8 +54,8 @@ class UnknownLabelError(KernelError):
 # (multiply, add, subtract, sqrt, frexp, ldexp), which are correctly rounded
 # per element, so scalar and array evaluations agree bit for bit; fused
 # expressions such as numpy's SIMD complex multiply do not.  The one
-# exception is the scan's einsum (below), which a probe at import admits only
-# where it rounds as those ufuncs do.
+# exception is the scan's einsum (below), which a probe at the first scan
+# admits only where it rounds as those ufuncs do.
 #
 # Each function also takes out=, indexable buffer arrays: its steps write
 # into out[0], out[1], ... and its results are the first of them.  The scan
@@ -67,10 +67,11 @@ class UnknownLabelError(KernelError):
 # The products form each component as a two-term product op(x y, z w), op
 # np.add or np.subtract, through dot=, _dot by default: two multiplies and op,
 # each rounded once.  The defect scan multiplies a column F(., x) by a row
-# F(x, .), so each two-term product is an (n, n) table, which _SCAN_DOT forms
-# in one einsum pass (_einsum_dot) or, where a probe at import finds einsum
-# fusing a multiply into the sum (say, an FMA in numpy's SIMD loop), as two
-# outer products and op (_outer_dot), with the same values and rounding.
+# F(x, .), so each two-term product is an (n, n) table, which _scan_dot()
+# forms in one einsum pass (_einsum_dot) or, where a probe at the first scan
+# finds einsum fusing a multiply into the sum (say, an FMA in numpy's SIMD
+# loop), as two outer products and op (_outer_dot), with the same values and
+# rounding.
 _UNBUFFERED = (None,) * 5
 
 
@@ -118,7 +119,12 @@ def _rounds_once(dot) -> bool:
                for i, k in cases)
 
 
-_SCAN_DOT = _einsum_dot if _rounds_once(_einsum_dot) else _outer_dot  # the probe at import
+@functools.cache
+def _scan_dot():
+    """The scan's two-term product: _einsum_dot where it rounds once, else
+    _outer_dot.  The probe runs at the first call, so a process that never
+    scans never runs it."""
+    return _einsum_dot if _rounds_once(_einsum_dot) else _outer_dot
 
 
 def _cmul(ar, ai, br, bi, out=_UNBUFFERED, *, dot=_dot):
@@ -498,6 +504,11 @@ class FiniteKernel:
         norms = _KINDS[self.value_kind].norm(*_components(self.table, self.value_kind))
         norms.setflags(write=False)
         return norms
+
+    @functools.cached_property
+    def _in_component_range(self) -> bool:
+        """_components_in_range(self.table), computed once: the table is read-only."""
+        return _components_in_range(self.table)
 
     def max_norm(self) -> float:
         return float(self.entry_norms().max())

@@ -1,5 +1,7 @@
+import ctypes
 import gc
 import json
+import platform
 import os
 import subprocess
 import sys
@@ -8,8 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import IN_RANGE_KERNELS, OVERFLOWING_KERNELS
-from sincov import FiniteKernel, KernelFormatError, save_kernel, sincov_defect
+from conftest import IN_RANGE_KERNELS, OVERFLOWING_KERNELS, random_complex_kernel, random_mat2_kernel
+from sincov import (
+    FiniteKernel, KernelFormatError, bound_suite, load_kernel, normalized_gram, sample_vectors,
+    save_kernel, sincov_defect,
+)
+from sincov import cli
 from sincov.cli import build_parser, main
 from sincov.kernel import GENERATOR_VARIANTS
 
@@ -355,12 +361,12 @@ def test_gen_example_choices_are_the_generator_variants():
     assert tuple(example.choices) == GENERATOR_VARIANTS
 
 
-def _python_output(code: str) -> str:
+def _python_output(code: str, env: dict | None = None) -> str:
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        env=dict(os.environ if env is None else env, PYTHONPATH=str(SRC)),
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
@@ -407,3 +413,137 @@ def test_commands_run_with_the_gc_off_and_restore_the_callers_setting(
     finally:
         (gc.enable if was else gc.disable)()
     assert seen == [False]
+
+
+def _kernel_file(tmp_path, kind: str = "complex", n: int = 70) -> Path:
+    path = tmp_path / f"{kind}-{n}.json"
+    random_kernel = random_complex_kernel if kind == "complex" else random_mat2_kernel
+    path.write_bytes(save_kernel(random_kernel(np.random.default_rng(n), n)))
+    return path
+
+
+@pytest.mark.parametrize("command, stages", [
+    ("check", ["trim", "_read_kernel", "_defect", "trim", "bound_suite", "trim", "render_report"]),
+    ("defect", ["trim", "_read_kernel", "sincov_defect", "render_report"]),
+    ("factorize", ["trim", "_read_kernel", "factorize", "render_report"]),
+])
+def test_the_cli_trims_the_heap_at_its_stage_boundaries(monkeypatch, tmp_path, capsys, command, stages):
+    """After the imports, and in check after the defect pass and after the
+    checks: each trim lowers a measured peak (README "Peak memory")."""
+    seen = []
+    monkeypatch.setattr("sincov.cli._trim", lambda: seen.append("trim"))
+    for name in ("_read_kernel", "_defect", "sincov_defect", "bound_suite", "factorize", "render_report"):
+        def recorded(*args, _name=name, _f=getattr(cli, name), **kwargs):
+            seen.append(_name)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(f"sincov.cli.{name}", recorded)
+    assert main([command, "-i", str(_kernel_file(tmp_path))]) == 0
+    capsys.readouterr()
+    assert seen == stages
+
+
+class _CLibrary:
+    """A C library whose malloc_trim records its calls, or that has none."""
+
+    def __init__(self, calls: list | None):
+        if calls is not None:
+            self.malloc_trim = lambda pad: calls.append(pad)
+
+
+def test_only_the_cli_trims_the_heap(monkeypatch, tmp_path, capsys):
+    calls = []
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: _CLibrary(calls))
+    path = _kernel_file(tmp_path)
+    kernel = load_kernel(path.read_bytes())
+    bound_suite(kernel, kernel.labels[0], defect=sincov_defect(kernel).defect)
+    assert calls == []
+    assert main(["check", "-i", str(path)]) == 0
+    capsys.readouterr()
+    assert calls == [0, 0, 0]
+
+
+def _missing(error):
+    def load(name):
+        if error is AttributeError:
+            return _CLibrary(None)
+        raise error("no C library")  # CDLL(None) raises TypeError on Windows
+    return load
+
+
+@pytest.mark.parametrize("error", [AttributeError, OSError, TypeError])
+def test_commands_run_alike_without_malloc_trim(monkeypatch, tmp_path, capsys, error):
+    """Where the C library has no malloc_trim, every command exits 0 with the same bytes."""
+    kernel, gram = _kernel_file(tmp_path, "mat2"), _kernel_file(tmp_path, "complex", 20)
+    commands = [
+        ["gen", "--example", "e1", "--n", "3", "--c", "1"],
+        ["defect", "-i", str(kernel)],
+        ["check", "-i", str(kernel)],
+        ["check", "-i", str(gram)],
+        ["factorize", "-i", str(gram)],
+        ["sweep", "--dim", "3", "--count", "500", "--seed", "1"],
+    ]
+
+    def reports():
+        found = []
+        for argv in commands:
+            assert main(argv) == 0
+            found.append(capsys.readouterr().out)
+        return found
+
+    expected = reports()
+    monkeypatch.setattr(ctypes, "CDLL", _missing(error))
+    assert reports() == expected
+
+
+def _peak_kib(command: str, path: Path, tmp_path: Path) -> int:
+    """VmHWM of a fresh CLI process running one command with two scan threads."""
+    code = ("import sys, sincov.cli; assert sincov.cli.main(sys.argv[1:]) == 0; "
+            "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')))")
+    env = dict(os.environ, PYTHONPATH=str(SRC), SINCOV_THREADS="2", PYTHONDONTWRITEBYTECODE="1")
+    argv = [sys.executable, "-c", code, command, "-i", str(path), "-o", str(tmp_path / "report.json")]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc" or not os.access("/proc/self/status", os.R_OK),
+    reason="reads glibc's heap through /proc/self/status",
+)
+def test_a_gram_check_peaks_no_higher_than_its_defect_pass(tmp_path):
+    """Trimmed after its defect pass and after its checks, a check process
+    on the 224-point Gram kernel peaks within 0.25 MiB of a defect process
+    on it; untrimmed, the heap kept the checks' pages and it peaked 0.8 MiB
+    above it on two threads.  Medians of three processes each."""
+    path = tmp_path / "gram.json"
+    path.write_bytes(save_kernel(normalized_gram(sample_vectors(8, 224, "complex", 1))))
+    peaks = {command: sorted(_peak_kib(command, path, tmp_path) for _ in range(3))[1]
+             for command in ("defect", "check")}
+    assert peaks["check"] <= peaks["defect"] + 256, peaks
+
+
+def test_import_sincov_imports_no_numpy_and_touches_no_environment_variable():
+    code = ("import os, sys; before = dict(os.environ); import sincov; sincov.__all__; "
+            "print('numpy' in sys.modules, dict(os.environ) == before)")
+    assert _python_output(code) == "False True\n"
+
+
+def test_import_sincov_after_numpy_imports_every_submodule():
+    """Nothing is left to defer, and bench/tracing.py looks them up in sys.modules."""
+    code = "import sys, numpy, sincov; print(sorted(m for m in sys.modules if m.startswith('sincov.')))"
+    assert _python_output(code) == "['sincov.analysis', 'sincov.ipspace', 'sincov.kernel']\n"
+
+
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")])
+def test_the_cli_runs_openblas_on_one_thread_unless_the_user_chose(preset, want):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = "import os, sincov.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _python_output(code, env) == f"{want}\n"
+
+
+def test_the_cli_leaves_openblas_alone_once_numpy_is_imported():
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    code = "import os, numpy, sincov.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    assert _python_output(code, env) == "None\n"

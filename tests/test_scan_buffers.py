@@ -4,8 +4,12 @@ einsum pass, or as two outer products where einsum fuses a multiply into the
 sum; its reports must equal those of an unbuffered, broadcasting reference
 scan bit for bit."""
 
+import os
+import subprocess
+import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,8 +30,8 @@ from sincov import (
 from sincov import analysis
 from sincov.cli import main
 from sincov.kernel import (
-    _COMPONENT_RANGE, _KINDS, _SCAN_DOT, _components, _components_in_range, _dot, _einsum_dot,
-    _outer, _outer_dot, _rounds_once, _scaled,
+    _COMPONENT_RANGE, _KINDS, _components, _components_in_range, _dot, _einsum_dot, _outer,
+    _outer_dot, _rounds_once, _scaled, _scan_dot,
 )
 
 SIZES = (1, 2, 63, 64, 65, 130)  # around the smallest size scanned in parallel
@@ -88,8 +92,8 @@ def test_outer_products_equal_broadcast_multiplies():
     assert np.array_equal(np.signbit(got[got != 0]), np.signbit(want[want != 0]))
 
 
-# the scan takes _einsum_dot where the probe at import finds it rounding as _dot does
-WITH_EINSUM = pytest.mark.skipif(_SCAN_DOT is not _einsum_dot, reason="einsum fuses a multiply into a sum")
+# the scan takes _einsum_dot where the probe finds it rounding as _dot does
+WITH_EINSUM = pytest.mark.skipif(_scan_dot() is not _einsum_dot, reason="einsum fuses a multiply into a sum")
 DOTS = [pytest.param(_outer_dot, id="outer"), pytest.param(_einsum_dot, id="einsum", marks=WITH_EINSUM)]
 
 
@@ -195,11 +199,35 @@ def test_a_fusing_einsum_leaves_the_scan_outer_products(monkeypatch, tmp_path, c
         return found
 
     expected = reports()
-    monkeypatch.setattr("sincov.analysis._SCAN_DOT", _outer_dot)  # the probe's choice where einsum fuses
+    monkeypatch.setattr("sincov.analysis._scan_dot", lambda: _outer_dot)  # the probe's choice where einsum fuses
     recorded = _recorded_einsum(monkeypatch)
     assert reports() == expected
     assert expected[0::2] == [expected[0]] * 2 and expected[1::2] == [expected[1]] * 2
     assert recorded and set(recorded) == {"i,j->ij"}
+
+
+def test_the_probe_runs_at_the_first_scan_and_once():
+    """A process that imports sincov and never scans never runs the probe."""
+    code = ("import sincov.cli, sincov.kernel as k; probe = k._scan_dot; print(probe.cache_info().misses); "
+            "kernel = sincov.FiniteKernel(('a', 'b'), 'complex', [[1, 2], [3, 4]]); "
+            "sincov.sincov_defect(kernel); sincov.sincov_defect(kernel); "
+            "print(probe.cache_info().misses, probe.cache_info().hits)")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "0\n1 1\n"), proc.stderr
+
+
+@pytest.mark.parametrize("kind", ["complex", "mat2"])
+def test_a_check_runs_the_range_test_once(monkeypatch, tmp_path, capsys, kind):
+    """The defect pass and both in-place check families share one answer."""
+    path = tmp_path / "kernel.json"
+    path.write_bytes(save_kernel(RANDOM[kind](np.random.default_rng(3), 12)))
+    tables = []
+    in_range = _components_in_range
+    monkeypatch.setattr("sincov.kernel._components_in_range", lambda t: tables.append(t) or in_range(t))
+    assert main(["check", "-i", str(path)]) == 0
+    capsys.readouterr()
+    assert len(tables) == 1
 
 
 # exact kernels: most terms are exactly zero, which the norms keep without
