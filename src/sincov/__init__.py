@@ -15,37 +15,23 @@ import sys
 # is loaded already there is nothing to decide, and the submodules are
 # imported at once, as code that finds them in sys.modules expects (the
 # benchmark's tracer, say).
-_EXPORTS = {
-    "analysis": (
-        "BoundCheck", "DefectReport", "Factorization", "bound_suite", "diagonal_report",
-        "factorize", "gauge_bound", "gauge_error_bound", "gm_factorize", "growth_witness",
-        "is_exact", "render_report", "sincov_defect", "slice_residual", "unit_diag_bound",
-    ),
-    "ipspace": (
-        "InequalityMargin", "IPVector", "SweepResult", "VectorError", "buzano_margin",
-        "cauchy_schwarz_margin", "margin_sweep", "normalized_gram", "richard_margin",
-        "sample_vectors",
-    ),
-    "kernel": (
-        "AlgebraValue", "FiniteKernel", "GeneratorSpec", "KernelError", "KernelFormatError",
-        "KindMismatchError", "UnknownLabelError", "defect_term", "generate", "load_kernel",
-        "point_label", "save_kernel",
-    ),
-}
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = ("kernel", "analysis", "ipspace")  # each imports the ones before it
 if "numpy" in sys.modules:
     from . import analysis, ipspace, kernel  # noqa: F401
 
 
 def __getattr__(name: str):
-    """An exported name, or a submodule, imported at its first use and kept."""
-    if name in _EXPORTS:
+    """A submodule, or an exported name from the first submodule that holds
+    it, imported at its first use and kept."""
+    if name in _SUBMODULES:
         return importlib.import_module(f"{__name__}.{name}")
-    if name not in _HOME:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
-    globals()[name] = value
-    return value
+    if name in __all__:
+        for module in _SUBMODULES:
+            home = vars(importlib.import_module(f"{__name__}.{module}"))
+            if name in home:
+                globals()[name] = home[name]
+                return home[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:

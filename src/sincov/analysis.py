@@ -39,11 +39,11 @@ infinity, where f vanishes somewhere.
 from __future__ import annotations
 
 import functools
+import json
 import math
 import os
 import threading
 from dataclasses import asdict, dataclass
-from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -542,52 +542,7 @@ def bound_suite(
     return _run_checks(kernel, families, ref, defect=defect, tol=tol)
 
 
-def _json(o, pad: str) -> str:
-    """o as json.dumps(o, indent=2, ensure_ascii=False, allow_nan=False) writes
-    it at the indent pad, from the scalars that json's encoder writes in C
-    (encode_basestring, int.__repr__, float.__repr__), in the order of its
-    type tests.  Each container is one join of its items' text: json's
-    pure-Python indented encoder makes a list of every token instead."""
-    if isinstance(o, str):
-        return encode_basestring(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if not math.isfinite(o):
-            raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
-        return float.__repr__(o)
-    inner = pad + "  "
-    if isinstance(o, (list, tuple)):
-        items, brackets = [_json(v, inner) for v in o], "[]"
-    elif isinstance(o, dict):
-        items, brackets = [f"{_key(k)}: {_json(v, inner)}" for k, v in o.items()], "{}"
-    else:
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-    if not items:
-        return brackets
-    items[0] = f"{brackets[0]}\n{inner}{items[0]}"  # the brackets join with the items, so
-    items[-1] = f"{items[-1]}\n{pad}{brackets[1]}"  # that the text is made once
-    return f",\n{inner}".join(items)
-
-
-def _key(k) -> str:
-    """A dict key as json writes it: a str as itself, and an int, float, bool
-    or None as the string of its JSON text."""
-    if not isinstance(k, str):
-        if not (k is None or isinstance(k, (int, float))):
-            raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
-        k = _json(k, "")
-    return encode_basestring(k)
-
-
 def render_report(doc: dict) -> bytes:
-    """Deterministic JSON bytes for a report document: those of
-    json.dumps(doc, indent=2, ensure_ascii=False, allow_nan=False) and a
-    final newline.  A float that is not finite raises ValueError."""
-    return (_json(doc, "") + "\n").encode("utf-8")
+    """Deterministic JSON bytes for a report document, with a final newline.
+    A float that is not finite raises ValueError."""
+    return (json.dumps(doc, indent=2, ensure_ascii=False, allow_nan=False) + "\n").encode("utf-8")

@@ -14,6 +14,7 @@ import ctypes
 import gc
 import os
 import sys
+from dataclasses import fields
 
 # No command calls a BLAS routine but sweep's Gram product, which is small,
 # and numpy's OpenBLAS starts a worker thread at import that spins before it
@@ -143,18 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    spec = GeneratorSpec(
-        variant=args.example,
-        value=args.value,
-        size=args.size,
-        n=args.n,
-        c=args.c,
-        c0=args.c0,
-        samples=tuple(args.samples) if args.samples is not None else None,
-        eps=args.eps,
-        seed=args.seed,
-    )
-    kernel = generate(spec)
+    # an option for each of GeneratorSpec's parameters but f_values
+    params = {f.name: getattr(args, f.name, None) for f in fields(GeneratorSpec)[1:]}
+    kernel = generate(GeneratorSpec(args.example, **params))
     _write_output(args.output, save_kernel(kernel))
     _diag(f"gen: {args.example} kernel with {kernel.n} points ({kernel.value_kind})")
     return 0

@@ -826,8 +826,9 @@ def _reject_constant(token):
 
 
 def _int_literal(literal: str):
-    """A JSON integer literal as an int; past Python's int-string limit (640
-    digits or more), as the infinite float it rounds to, as 1e999 reads."""
+    """A JSON integer literal as an int; past Python's int-string limit (more
+    than 4,300 digits by default, sys.get_int_max_str_digits()), as the
+    infinite float it rounds to, as 1e999 reads."""
     try:
         return int(literal)
     except ValueError:

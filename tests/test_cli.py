@@ -12,8 +12,8 @@ import pytest
 
 from conftest import IN_RANGE_KERNELS, OVERFLOWING_KERNELS, random_complex_kernel, random_mat2_kernel
 from sincov import (
-    FiniteKernel, KernelFormatError, bound_suite, load_kernel, normalized_gram, sample_vectors,
-    save_kernel, sincov_defect,
+    FiniteKernel, GeneratorSpec, KernelFormatError, bound_suite, generate, load_kernel, normalized_gram,
+    sample_vectors, save_kernel, sincov_defect,
 )
 from sincov import cli
 from sincov.cli import build_parser, main
@@ -68,20 +68,26 @@ def test_factorize_subcommand(tmp_path, capsys):
 @pytest.mark.parametrize(
     "gen_args",
     [
-        ["--example", "constant", "--value", "-1", "--size", "3"],
-        ["--example", "ratio", "--samples", "1", "2", "4"],
-        ["--example", "e1", "--n", "3", "--c", "0.5"],
-        ["--example", "e0", "--samples", "1", "2", "10", "100"],
-        ["--example", "mat2_ratio", "--c0", "2", "--samples", "1", "2", "3"],
-        ["--example", "moszner", "--n", "4", "--size", "3"],
-        ["--example", "perturbed_ratio", "--samples", "1", "2", "3", "4",
-         "--eps", "0.2", "--seed", "11"],
+        (["--example", "constant", "--value", "-1", "--size", "3"], dict(value=-1.0, size=3)),
+        (["--example", "ratio", "--samples", "1", "2", "4"], dict(samples=(1.0, 2.0, 4.0))),
+        (["--example", "e1", "--n", "3", "--c", "0.5"], dict(n=3, c=0.5)),
+        (["--example", "e0", "--samples", "1", "2", "10", "100"], dict(samples=(1.0, 2.0, 10.0, 100.0))),
+        (["--example", "mat2_ratio", "--c0", "2", "--samples", "1", "2", "3"],
+         dict(c0=2.0, samples=(1.0, 2.0, 3.0))),
+        (["--example", "moszner", "--n", "4", "--size", "3"], dict(n=4, size=3)),
+        (["--example", "perturbed_ratio", "--samples", "1", "2", "3", "4", "--eps", "0.2", "--seed", "11"],
+         dict(samples=(1.0, 2.0, 3.0, 4.0), eps=0.2, seed=11)),
     ],
 )
 def test_check_passes_on_every_generator_output(tmp_path, capsys, gen_args):
-    kpath = str(tmp_path / "k.json")
-    assert run(["gen", *gen_args, "-o", kpath], capsys)[0] == 0
-    code, out, _ = run(["check", "-i", kpath], capsys)
+    """gen writes the kernel of the spec with the given parameters, so each
+    option reaches the spec (a check would pass with --seed or --eps
+    dropped), and every check holds on it."""
+    argv, params = gen_args
+    kpath = tmp_path / "k.json"
+    assert run(["gen", *argv, "-o", str(kpath)], capsys)[0] == 0
+    assert kpath.read_bytes() == save_kernel(generate(GeneratorSpec(argv[1], **params)))
+    code, out, _ = run(["check", "-i", str(kpath)], capsys)
     assert code == 0
     doc = json.loads(out)
     assert doc["all_hold"] is True
@@ -532,6 +538,31 @@ def test_import_sincov_after_numpy_imports_every_submodule():
     """Nothing is left to defer, and bench/tracing.py looks them up in sys.modules."""
     code = "import sys, numpy, sincov; print(sorted(m for m in sys.modules if m.startswith('sincov.')))"
     assert _python_output(code) == "['sincov.analysis', 'sincov.ipspace', 'sincov.kernel']\n"
+
+
+@pytest.mark.parametrize(
+    "name, modules",
+    [
+        ("load_kernel", ["sincov.kernel"]),
+        ("bound_suite", ["sincov.analysis", "sincov.kernel"]),
+        ("VectorError", ["sincov.analysis", "sincov.ipspace", "sincov.kernel"]),
+    ],
+)
+def test_an_export_imports_only_its_home_module_and_what_that_imports(name, modules):
+    code = (f"import sys, sincov; sincov.{name}; "
+            "print(sorted(m for m in sys.modules if m.startswith('sincov.')))")
+    assert _python_output(code) == f"{modules}\n"
+
+
+def test_every_export_is_the_object_its_defining_submodule_holds():
+    code = ("import sys, sincov\n"
+            "for name in sincov.__all__:\n"
+            "    value = getattr(sincov, name)\n"
+            "    home = value.__module__\n"
+            "    if not (home.startswith('sincov.') and value.__name__ == name\n"
+            "            and vars(sys.modules[home])[name] is value):\n"
+            "        print(name)\n")
+    assert _python_output(code) == ""
 
 
 @pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")])
