@@ -48,12 +48,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .kernel import (
-    _KINDS, COMPLEX, FiniteKernel, KernelError, _cmul, _cnorm, _components, _finite_sides, _in_range,
-    _ratio_table, _scan_dot, _squared_modulus,
+    _KINDS, COMPLEX, FiniteKernel, KernelError, _chunks, _cmul, _cnorm, _components, _finite_sides,
+    _in_range, _ratio_table, _scan_dot, _squared_modulus,
 )
 
 TOL_SCALE = 1e-12
-_PARALLEL_MIN_SIZE = 64
 
 
 def thread_limit() -> int:
@@ -190,9 +189,7 @@ def _scan(kernel: FiniteKernel, reduce, formula=None) -> list:
     first chunk; the first failed chunk's error is raised."""
     n = kernel.n
     slab, buffers = _slab_function(kernel, formula)
-    workers = min(thread_limit(), n)
-    step = -(-n // workers) if n >= _PARALLEL_MIN_SIZE else n
-    chunks = [range(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    chunks = _chunks(n, thread_limit())
     # Every chunk's buffers are made here, in the calling thread, and reused
     # for each of the chunk's slabs.  glibc's malloc gives each thread an
     # arena of its own, and what a thread frees goes back to its arena:

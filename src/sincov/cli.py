@@ -24,7 +24,7 @@ from dataclasses import fields
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .analysis import _defect, bound_suite, factorize, render_report, sincov_defect
+from .analysis import _defect, bound_suite, factorize, render_report, sincov_defect, thread_limit
 from .ipspace import FIELDS, VectorError, margin_sweep
 from .kernel import (
     GENERATOR_VARIANTS,
@@ -89,9 +89,23 @@ def _write_output(path: str | None, data: bytes) -> None:
             handle.write(data)
 
 
+# A process forked from a multi-threaded one holds only the forking thread,
+# and a lock that another thread held stays locked in it, so the reader forks
+# only where Linux lists one thread here.
+_TASKS = "/proc/self/task"
+
+
 def _read_kernel(path: str):
+    """The kernel in the file at path, its rows read on thread_limit()
+    processes where this process runs one thread, else in this process."""
     with open(path, "rb") as handle:
-        return load_kernel(handle.read())
+        data = handle.read()
+    workers = thread_limit()
+    try:
+        alone = len(os.listdir(_TASKS)) == 1
+    except OSError:  # no /proc: the threads cannot be counted
+        alone = False
+    return load_kernel(data, workers=workers if alone else 1)
 
 
 def build_parser() -> argparse.ArgumentParser:

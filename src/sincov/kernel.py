@@ -12,6 +12,8 @@ from __future__ import annotations
 import functools
 import json
 import math
+import mmap
+import os
 import re
 from collections import namedtuple
 from dataclasses import dataclass, fields
@@ -739,7 +741,8 @@ def generate(spec: GeneratorSpec) -> FiniteKernel:
 # same error.  The bytes save_kernel writes are read one row at a time by
 # _by_rows, each row from one flat JSON array of its reals, into one
 # preallocated array, so at most one row of Python objects is alive and the
-# document is never held twice, as bytes and as text.  Every other document,
+# document is never held twice, as bytes and as text; the rows may be read in
+# blocks on forked processes, into a shared table.  Every other document,
 # and one with a defect, is decoded and parsed whole (_parse), each level of
 # nesting is checked in full with one C-level pass (_spread, _fields), and
 # every real is read in storage order with one call to _reals.  A pass that
@@ -748,6 +751,14 @@ def generate(spec: GeneratorSpec) -> FiniteKernel:
 # shape always before a bad real.
 
 _TOP_KEYS = ("labels", "value_kind", "entries")
+_PARALLEL_MIN_SIZE = 64  # a kernel with fewer labels is read, and scanned, in one piece
+
+
+def _chunks(n: int, workers: int) -> list[range]:
+    """range(n) in contiguous chunks, one for each of up to workers workers;
+    one chunk if n < _PARALLEL_MIN_SIZE."""
+    step = -(-n // min(workers, n)) if n >= _PARALLEL_MIN_SIZE else n
+    return [range(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 def _spread(items: list, width: int, message: str, where) -> list:
@@ -887,29 +898,32 @@ _HEAD = re.compile(rb'\{"labels":(\[S(?:,S)*\]),"value_kind":(S),"entries":\['
                    .replace(b"S", rb'"(?:[^"\\]|\\.)*"')).match
 
 
-def _by_rows(data: bytes):
+def _by_rows(data: bytes, workers: int = 1):
     """(labels, kind, reals) of the bytes save_kernel writes, with or without
     the final newline, read one row at a time; None for any other document,
     and for one with a defect, which the whole-document path then names.
     Only the head is decoded; every other byte is matched against ASCII text,
     so a document read here is valid UTF-8.
 
-    The rows follow the head, joined by commas, then "]}".  A row is read as
-    one flat JSON array of its reals: the row with the row template's head
-    and tail cut off, each separator between entries replaced by a comma and
-    every other character of the separator inside an entry deleted.  That
-    array holds each real from its own slot when the row starts with the
-    template's head, when deleting its number characters leaves the
-    template's skeleton, and when it holds the separator inside an entry that
-    is not a lone comma n times.  These groups then stand whole where the
-    template puts them (the skeleton alone would also pass a real written
-    inside a group, or the key "r5e" for "re"), and so does each separator
-    between entries, with no count of its own: the first one that is not
-    whole is not replaced, so its "}" stays in the flat text behind nothing
-    but reals and commas, and json's decoder rejects a "}" in an array.  The
-    skeleton is ASCII, so a row of that form is ASCII too.  The search for
-    the row's end stops at the longest row of that form whose reals are
-    float reprs."""
+    The rows follow the head, joined by commas, then "]}".  Each row's end is
+    found first, in one pass: the first row tail within the longest row of
+    the form below whose reals are float reprs.  That pass decides nothing
+    but the final "}"; a row cut at a wrong end fails its own checks.  Then
+    the rows are read in contiguous blocks (_chunks), on up to workers
+    processes (_all_read).  A row is read as one flat JSON array of its
+    reals: the row with the row template's head and tail cut off, each
+    separator between entries replaced by a comma and every other character
+    of the separator inside an entry deleted.  That array holds each real
+    from its own slot when the row starts with the template's head, when
+    deleting its number characters leaves the template's skeleton, and when
+    it holds the separator inside an entry that is not a lone comma n times.
+    These groups then stand whole where the template puts them (the skeleton
+    alone would also pass a real written inside a group, or the key "r5e"
+    for "re"), and so does each separator between entries, with no count of
+    its own: the first one that is not whole is not replaced, so its "}"
+    stays in the flat text behind nothing but reals and commas, and json's
+    decoder rejects a "}" in an array.  The skeleton is ASCII, so a row of
+    that form is ASCII too."""
     head = _HEAD(data)
     if head is None:
         return None
@@ -928,21 +942,64 @@ def _by_rows(data: bytes):
     cut = inner.replace(b",", b"")
     fixed = _row(kind, n).replace("%r", "").encode()
     skeleton, longest = fixed.translate(None, _NUMBER_CHARS), len(fixed) + _LONGEST_REAL * n * width
-    reals, pos = np.empty((n, n * width)), head.end()
-    for i in range(n):
-        end = data.find(tail, pos, pos + longest) if data.startswith(first, pos) else -1
-        row = data[pos:end + len(tail)]
-        if not (end >= 0 and row.translate(None, _NUMBER_CHARS) == skeleton and row.count(inner) == n):
+    bounds, pos = [], head.end()
+    for _ in range(n):
+        end = data.find(tail, pos, pos + longest)
+        if end < 0:
             return None
-        flat = row[len(first):-len(tail)].replace(sep, b",").translate(None, cut)
-        try:  # n * width number tokens, as the skeleton's commas fix, so ints and floats
-            reals[i] = _DECODER.decode("[%s]" % flat.decode("ascii"))
-        except (ValueError, OverflowError):  # JSONDecodeError; an integer beyond float range
-            return None
+        bounds.append((pos, end + len(tail)))
         pos = end + len(tail) + 1
-        if data[pos - 1:pos] != (b",", b"]")[i == n - 1]:
-            return None
-    return (labels, kind, reals) if data[pos:] in (b"}", b"}\n") and np.isfinite(reals).all() else None
+    if data[pos:] not in (b"}", b"}\n"):
+        return None
+    blocks = _chunks(n, workers if hasattr(os, "fork") else 1)
+    size = n * n * width
+    # with more than one block, the table is a mapping that forked readers share
+    reals = (np.frombuffer(mmap.mmap(-1, 8 * size)) if len(blocks) > 1 else np.empty(size)).reshape(n, -1)
+
+    def read(rows: range) -> bool:
+        """Whether rows are the template's, each read into its row of reals."""
+        for i in rows:
+            start, end = bounds[i]
+            row = data[start:end]
+            if not (row.startswith(first) and row.translate(None, _NUMBER_CHARS) == skeleton
+                    and row.count(inner) == n and data[end:end + 1] == (b",", b"]")[i == n - 1]):
+                return False
+            flat = row[len(first):-len(tail)].replace(sep, b",").translate(None, cut)
+            try:  # n * width number tokens, as the skeleton's commas fix, so ints and floats
+                reals[i] = _DECODER.decode("[%s]" % flat.decode("ascii"))
+            except (ValueError, OverflowError):  # JSONDecodeError; an integer beyond float range
+                return False
+        return bool(np.isfinite(reals[rows.start:rows.stop]).all())
+
+    return (labels, kind, reals) if _all_read(read, blocks) else None
+
+
+def _all_read(read, blocks: list) -> bool:
+    """Whether read(block) holds for every block: the first block read in
+    this process, each other in a child forked for it, whose exit status
+    alone reports back, or here where no child can be started.  Every child
+    is reaped before this returns or raises."""
+    here, children, ok = blocks[:1], [], False
+    try:
+        for block in blocks[1:]:
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare
+                here.append(block)
+                continue
+            if pid == 0:  # the child: nothing runs after its block
+                code = 1
+                try:
+                    code = 0 if read(block) else 1
+                finally:
+                    os._exit(code)
+            children.append(pid)
+        ok = all(read(block) for block in here)
+    finally:
+        for pid in children:
+            status = os.waitpid(pid, 0)[1]
+            ok = ok and status == 0
+    return ok
 
 
 def _document(doc) -> tuple:
@@ -963,15 +1020,23 @@ def _document(doc) -> tuple:
     return labels, kind, _entry_reals(entries, n, kind)
 
 
-def load_kernel(data: bytes) -> FiniteKernel:
+def load_kernel(data: bytes, *, workers: int = 1) -> FiniteKernel:
     """Parse and validate a kernel document; inverse of save_kernel.
 
     The bytes save_kernel writes are read one row at a time, each row from
     one flat JSON array of its reals, with at most one row of Python objects
     alive; any other document, and any text given as str, is decoded and
-    parsed whole.  Both give the same kernel, and a defect the same error."""
+    parsed whole.  Both give the same kernel, and a defect the same error.
+
+    With workers > 1, the rows of a kernel of at least _PARALLEL_MIN_SIZE
+    labels are read in that many blocks, each block but the first in a
+    process forked for it (where os.fork exists); the result is the same.
+    Forking is safe only in a process that runs one thread, which the caller
+    must know: the command line passes thread_limit() where it does."""
+    if type(workers) is not int or workers < 1:
+        raise KernelError(f"workers must be a positive integer, got {workers!r}")
     raw = isinstance(data, (bytes, bytearray))
-    read = _by_rows(data) if raw else None
+    read = _by_rows(data, workers) if raw else None
     if read is None:
         try:
             text = data.decode("utf-8") if raw else str(data)

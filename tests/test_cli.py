@@ -5,6 +5,7 @@ import platform
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -578,3 +579,86 @@ def test_the_cli_leaves_openblas_alone_once_numpy_is_imported():
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     code = "import os, numpy, sincov.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
     assert _python_output(code, env) == "None\n"
+
+
+def _reports(argv: list[str], capsys) -> list:
+    return [run([command, *argv], capsys) for command in ("defect", "check", "factorize")]
+
+
+@pytest.mark.parametrize("threads", ["2", "banana"])
+def test_every_command_that_reads_a_kernel_checks_sincov_threads(monkeypatch, tmp_path, capsys, threads):
+    """The reader reads SINCOV_THREADS, so factorize, which scans nothing,
+    rejects a bad value as defect and check do: exit 3, before the file is
+    parsed."""
+    path = str(_kernel_file(tmp_path, "complex", 5))
+    monkeypatch.setenv("SINCOV_THREADS", threads)
+    for code, out, err in _reports(["-i", path], capsys):
+        if threads == "2":
+            assert code == 0
+        else:
+            assert (code, out) == (3, "")
+            assert err == "sincov: error: input: SINCOV_THREADS must be a nonnegative integer, got 'banana'\n"
+
+
+def _forks_refused(monkeypatch) -> list:
+    """os.fork replaced by one that records its calls and fails, so that a
+    block it was asked for is read in the calling process."""
+    calls = []
+
+    def fork():
+        calls.append(os.getpid())
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["complex", "mat2"])
+def test_the_cli_reader_forks_only_in_a_process_of_one_thread(monkeypatch, tmp_path, capsys, kind):
+    """With another thread alive, or with no /proc to count threads by, the
+    reader never forks and reports the same bytes."""
+    path = str(_kernel_file(tmp_path, kind))
+    monkeypatch.setenv("SINCOV_THREADS", "1")
+    expected = _reports(["-i", path], capsys)
+    monkeypatch.setenv("SINCOV_THREADS", "2")
+    monkeypatch.setattr(cli, "thread_limit", lambda: 2)  # two readers on a one-CPU host too
+    calls = _forks_refused(monkeypatch)
+    one_task = tmp_path / "task"
+    (one_task / "1").mkdir(parents=True)
+    monkeypatch.setattr(cli, "_TASKS", str(one_task))  # as /proc shows a process of one thread
+    assert _reports(["-i", path], capsys) == expected
+    assert len(calls) == 3  # one fork per command, each failed and read here
+    calls.clear()
+    monkeypatch.setattr(cli, "_TASKS", str(tmp_path / "no-proc"))
+    assert _reports(["-i", path], capsys) == expected
+    monkeypatch.setattr(cli, "_TASKS", "/proc/self/task")
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert _reports(["-i", path], capsys) == expected
+    finally:
+        stop.set()
+        other.join(timeout=60)
+    assert not other.is_alive()
+    assert calls == []
+
+
+def test_a_cli_process_reads_its_kernel_on_forked_readers(tmp_path):
+    """A fresh CLI process runs one thread, so its reader forks one child
+    for each block but the first and reports the bytes of one reader."""
+    path = _kernel_file(tmp_path, "mat2")
+    code = ("import os, sys, sincov.cli\n"
+            "fork, forks = os.fork, []\n"
+            "os.fork = lambda: forks.append(0) or fork()\n"
+            "assert sincov.cli.main(sys.argv[1:]) == 0\n"
+            "assert len(forks) == sincov.cli.thread_limit() - 1, forks\n")
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"defect-{threads}.json"
+        env = dict(os.environ, PYTHONPATH=str(SRC), SINCOV_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", code, "defect", "-i", str(path), "-o", str(out)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]

@@ -3,18 +3,22 @@ before the next level and before any real, and names the first bad item of
 the first bad level.  A document with one defect is named by the same error
 type, message and location wherever the defect sits; one with several
 follows that level order.  The loader leaves the cyclic garbage collector's
-setting to its caller."""
+setting to its caller.  Read in blocks on forked processes, a document gives
+the same kernel, or the same error, and leaves no process behind."""
 
 import copy
 import gc
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
-from sincov import KernelFormatError, load_kernel
-from sincov.kernel import _by_rows
+from conftest import random_complex_kernel, random_mat2_kernel
+from sincov import KernelError, KernelFormatError, load_kernel, save_kernel
+from sincov.kernel import _by_rows, _chunks
 
 N = 4
 PLACES = {"first": (0, 0), "middle": (1, 2), "last": (N - 1, N - 1)}
@@ -251,9 +255,9 @@ def test_concurrent_loads_leave_the_gc_enabled():
 def test_a_gc_change_made_during_a_load_survives_it(monkeypatch):
     """Code that turns the collector off while a load runs, on another
     thread, say, owns the setting: the load does not turn it back on."""
-    def disabling(text):
+    def disabling(*args):
         gc.disable()
-        return _by_rows(text)
+        return _by_rows(*args)
 
     monkeypatch.setattr("sincov.kernel._by_rows", disabling)
     was = gc.isenabled()
@@ -268,3 +272,119 @@ def test_a_gc_change_made_during_a_load_survives_it(monkeypatch):
 def test_deeply_nested_documents_are_format_errors():
     with pytest.raises(KernelFormatError, match="nesting too deep"):
         load_kernel(b"[" * 100_000)
+
+
+# A split read forks.  Python 3.12 warns at a fork from a process that runs
+# other threads, as this one may (numpy's OpenBLAS workers); a forked reader
+# decodes its rows into memory it was handed and takes no lock they hold.
+FORK_WITH_THREADS = "ignore:This process .* is multi-threaded:DeprecationWarning"
+SPLIT_SIZES = [63, 64, 65, 224]
+
+
+def _saved(kind: str, n: int) -> bytes:
+    random_kernel = random_complex_kernel if kind == "complex" else random_mat2_kernel
+    return save_kernel(random_kernel(np.random.default_rng(n), n))
+
+
+def _no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _split_error(data: bytes, workers: int) -> str:
+    with pytest.raises(KernelFormatError) as info:
+        load_kernel(data, workers=workers)
+    _no_child_left()
+    return str(info.value)
+
+
+@pytest.mark.filterwarnings(FORK_WITH_THREADS)
+@pytest.mark.parametrize("n", SPLIT_SIZES)
+@pytest.mark.parametrize("kind", ["complex", "mat2"])
+def test_a_split_read_gives_the_table_of_one_read(kind, n):
+    data = _saved(kind, n)
+    expected = load_kernel(data, workers=1).table
+    for workers in (2, 3, 7):  # 7: more readers than a small host has CPUs
+        table = load_kernel(data, workers=workers).table
+        _no_child_left()
+        assert (table.dtype, table.shape) == (expected.dtype, expected.shape)
+        assert table.tobytes() == expected.tobytes()
+        assert not table.flags.writeable
+
+
+def _with_bad_real(data: bytes, i: int, j: int) -> bytes:
+    """data, in save_kernel's layout, with one real of entries[i][j] set to true."""
+    doc = json.loads(data)
+    entry = doc["entries"][i][j]
+    if "re" in entry:
+        entry["re"] = True
+    else:
+        entry["m"][1][0] = True
+    return _bytes(doc)
+
+
+def _defective(data: bytes, n: int, workers: int) -> dict:
+    """{where: document} with one defect: in a row, or after the last one."""
+    places = {"first row": (0, 1), "last block": (_chunks(n, workers)[-1].start, 0), "last row": (n - 1, n - 1)}
+    found = {where: _with_bad_real(data, i, j) for where, (i, j) in places.items()}
+    found["an extra row"] = data.replace(b"]]}", b"]],1]}")
+    found["trailing text"] = data.rstrip(b"\n") + b"x"
+    return found
+
+
+@pytest.mark.filterwarnings(FORK_WITH_THREADS)
+@pytest.mark.parametrize("n", [65, 97])
+@pytest.mark.parametrize("kind", ["complex", "mat2"])
+def test_a_split_read_names_a_defect_as_one_read_does(kind, n):
+    data, errors = _saved(kind, n), {}
+    for workers in (2, 3):
+        for where, bad in _defective(data, n, workers).items():
+            expected = errors.setdefault(bad, _split_error(bad, 1))
+            assert _split_error(bad, workers) == expected, where
+    # the documents are read row by row up to their defect
+    assert _by_rows(_with_bad_real(data, n - 1, n - 1), 2) is None
+    assert _by_rows(data, 2) is not None
+
+
+@pytest.mark.filterwarnings(FORK_WITH_THREADS)
+def test_each_block_but_the_first_is_read_in_a_child(monkeypatch):
+    data, forks = _saved("mat2", 224), []
+    fork = os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    expected = load_kernel(data)
+    assert forks == []
+    for workers in (2, 3):
+        assert load_kernel(data, workers=workers) == expected
+        assert len(forks) == workers - 1
+        forks.clear()
+    load_kernel(_saved("complex", 63), workers=3)  # below _PARALLEL_MIN_SIZE: one block
+    assert forks == []
+    _no_child_left()
+
+
+@pytest.mark.parametrize("missing", ["fork", "processes"])
+def test_blocks_are_read_here_where_no_process_can_be_forked(monkeypatch, missing):
+    """Without os.fork, or when a fork fails, each block is read in the
+    calling process, with the same kernel or error."""
+    data = _saved("complex", 224)
+    expected, bad = load_kernel(data), _with_bad_real(data, 223, 0)
+    error = _split_error(bad, 1)
+    if missing == "fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        def failing():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        monkeypatch.setattr(os, "fork", failing)
+    assert load_kernel(data, workers=2) == expected
+    assert _split_error(bad, 2) == error
+
+
+@pytest.mark.parametrize("workers", [0, -1, 1.0, True, "2", None])
+def test_workers_must_be_a_positive_integer(workers):
+    with pytest.raises(KernelError, match="workers must be a positive integer"):
+        load_kernel(_bytes(_kernel_doc("complex")), workers=workers)
